@@ -226,6 +226,8 @@ def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int, out_dir: P
         multipliers=sizes,
         trials=int(settings.get("trials", 10)),
         master_seed=seed,
+        profile=profile_from_settings(settings, config.n_taps),
+        mixture=mixture_from_settings(settings),
     )
     scaling_to_csv(report, out_dir / "scaling.csv")
     for row in report.rows:

@@ -470,31 +470,38 @@ def run_runtime_scaling(
     master_seed: int = 0,
     d_min: int = 0,
     d_max: int = 30,
+    profile: DelayProfile | None = None,
+    mixture: NoiseMixture | None = None,
 ) -> RuntimeScalingReport:
     """Wall time of one estimate as the window grows (block length scaled by
     each multiplier, hypothesis count fixed), with the least-squares slope of
-    log(time) against log(window length)."""
+    log(time) against log(window length).
+
+    ``profile`` and ``mixture`` describe the link (the tap count does not
+    scale); they default to a normalized exponential profile and Gaussian
+    noise. The mixture is scaled to ``config.snr_db``."""
     multipliers = [int(s) for s in multipliers]
     if len(multipliers) < 3:
         raise ConfigError("need at least 3 sizes for a scaling fit")
     hyp = HypothesisSet(d_min, d_max)
+    if profile is None:
+        profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)
+    if mixture is None:
+        mixture = NoiseMixture.gaussian()
+    scaled = scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
     rows = []
     for s in multipliers:
         cfg = dataclasses.replace(config, n_data=config.n_data * s, n_zero=config.n_zero * s)
-        profile = DelayProfile.exponential(1.0, 0.05, cfg.n_taps, normalized=True)
-        mixture = scale_mixture_to_snr(
-            NoiseMixture.gaussian(), cfg.signal_power, cfg.snr_db
-        )
         vp = variance_profile_h0(cfg, profile)
         aml_ns = []
         ed_ns = []
         warmup = 3
         for t in range(trials + warmup):
             window = assemble_window(
-                cfg, profile, mixture, d_true=0, seed=(master_seed, s, t), d_pad=0
+                cfg, profile, scaled, d_true=0, seed=(master_seed, s, t), d_pad=0
             )
             t0 = time.perf_counter_ns()
-            aml_estimate(window, vp, mixture, hyp)
+            aml_estimate(window, vp, scaled, hyp)
             t1 = time.perf_counter_ns()
             ed_estimate(window, hyp)
             t2 = time.perf_counter_ns()

@@ -58,7 +58,15 @@ class VarianceProfile:
         body_class = np.searchsorted(values, body).astype(np.int32)
         body_class.setflags(write=False)
         self.body_class = body_class
-        self._window_class_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        # constant-class runs of one period: run j spans run_edges[j] up to
+        # run_edges[j + 1] with class run_class[j]
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(body_class)) + 1])
+        run_edges = np.append(starts, body.size)
+        run_edges.setflags(write=False)
+        self.run_edges = run_edges
+        run_class = body_class[starts]
+        run_class.setflags(write=False)
+        self.run_class = run_class
 
     @property
     def block_len(self) -> int:
@@ -74,20 +82,6 @@ class VarianceProfile:
         idx = np.arange(d, d + m)
         out = np.where(idx < 0, 0, self.body_class[idx % self.block_len])
         return out.astype(np.int32)
-
-    def window_class_matrix(self, d_min: int, d_max: int, m: int) -> np.ndarray:
-        """Class ids for every hypothesis in [d_min, d_max], shape (n_d, m).
-
-        Cached: the matrix depends only on the profile geometry, not on data.
-        """
-        key = (d_min, d_max, m)
-        cached = self._window_class_cache.get(key)
-        if cached is None:
-            rows = [self.window_classes(d, m) for d in range(d_min, d_max + 1)]
-            cached = np.vstack(rows)
-            cached.setflags(write=False)
-            self._window_class_cache[key] = cached
-        return cached
 
 
 def variance_profile_h0(config: SystemConfig, profile: DelayProfile) -> VarianceProfile:
@@ -178,29 +172,38 @@ def loglik_class_table(
     """Per-sample log densities against every distinct profile variance.
 
     Returns (n_classes, m): row c holds log p(y[k] | variance class c) summed
-    over antennas. Hypothesis scores are then gathers over this table, which
-    keeps each hypothesis O(m) with no repeated transcendentals.
+    over antennas. The estimator scores every hypothesis from per-class
+    prefix sums of this table over the profile's constant-class runs, so the
+    transcendentals are paid once per window, not once per hypothesis.
 
-    Works row by row with in-place ufuncs: the only large allocation is the
-    table itself, which keeps long-window timing free of allocator noise.
+    Works class by class with in-place ufuncs on window-sized buffers: the
+    only large allocation is the table itself, which keeps long-window timing
+    free of allocator noise.
     """
-    y = np.atleast_2d(np.asarray(y))
+    y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.complex128)
     values = vp.class_values
-    m = y.shape[1]
-    table = np.zeros((values.size, m))
-    acc = np.empty(m)
-    term = np.empty(m)
-    log_probs = np.log(mixture.probs)
-    for row in y:
-        for part in (row.real, row.imag):
-            z2 = np.square(part)
-            for c, t in enumerate(values):
-                for l, v in enumerate(mixture.variances):
-                    var = t + v / 2.0
-                    out = acc if l == 0 else term
-                    np.multiply(z2, -0.5 / var, out=out)
-                    out += log_probs[l] - 0.5 * np.log(2.0 * np.pi * var)
-                    if l > 0:
-                        np.logaddexp(acc, term, out=acc)
-                table[c] += acc
+    n_rx, m = y.shape
+    # I and Q interleaved: one ufunc call covers both parts of every antenna
+    z2 = np.square(y.view(np.float64))
+    acc = np.empty_like(z2)
+    term = np.empty_like(z2)
+    # the parts in the order their terms are summed: antenna by antenna, I then Q
+    parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
+    table = np.empty((values.size, m))
+    # per (class, component) constants, computed once as Python floats:
+    # scalar numpy arithmetic inside the loop would add a fixed cost per call
+    # that is a large share of a short window
+    var = values[:, None] + mixture.variances / 2.0
+    scales = (-0.5 / var).tolist()
+    offsets = (np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var)).tolist()
+    for t_row, scale, offset in zip(table, scales, offsets):
+        np.multiply(z2, scale[0], out=acc)
+        acc += offset[0]
+        for s, o in zip(scale[1:], offset[1:]):
+            np.multiply(z2, s, out=term)
+            term += o
+            np.logaddexp(acc, term, out=acc)
+        np.add(parts[0], parts[1], out=t_row)
+        for part in parts[2:]:
+            t_row += part
     return table

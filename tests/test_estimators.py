@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpsync import (
     ConfigError,
@@ -243,3 +245,123 @@ class TestAllEstimatorsHighSnr:
             hits["ed"] += ed_estimate(window, hyp).d_hat == d_true
         for name, count in hits.items():
             assert count >= trials - 1, name
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small link, a hypothesis set anywhere in (-block_len, block_len) and
+    a window generated at an offset inside it, cut to any length."""
+    n_taps = draw(st.integers(1, 5))
+    cfg = SystemConfig(
+        n_data=draw(st.integers(1, 24)),
+        n_zero=draw(st.integers(n_taps, n_taps + 6)),
+        n_taps=n_taps,
+        n_blocks=draw(st.integers(1, 3)),
+        n_rx=draw(st.sampled_from([1, 2])),
+        mod_order=4,
+        snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])),
+    )
+    n_s = cfg.block_len
+    d_min = draw(st.integers(-(n_s - 1), n_s - 1))
+    d_max = draw(st.integers(d_min, n_s - 1))
+    d_true = draw(st.integers(d_min, d_max))
+    base = NoiseMixture.impulsive(0.9, 1.0, 100.0) if draw(st.booleans()) else GAUSSIAN
+    mixture = scale_mixture_to_snr(base, cfg.signal_power, cfg.snr_db)
+    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), n_taps)
+    window = assemble_window(
+        cfg, profile, mixture, d_true, seed=(draw(st.integers(0, 2**16)), 3),
+        d_pad=max(0, -d_min),
+    )
+    window = dataclasses.replace(
+        window, samples=window.samples[:, : draw(st.integers(1, window.length))]
+    )
+    return window, variance_profile_h0(cfg, profile), mixture, HypothesisSet(d_min, d_max)
+
+
+# absolute floor for scores whose per-sample terms cancel to near zero
+SCORE_ATOL = 1e-9
+
+
+class TestSegmentKernel:
+    """The run-based scores equal plain per-hypothesis sums over the window."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_aml_scores_equal_window_loglik(self, case):
+        window, vp, mixture, hyp = case
+        result = aml_estimate(window, vp, mixture, hyp)
+        ref = [window_loglik(window.samples, int(d), vp, mixture).loglik for d in hyp.values]
+        np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_wed_scores_equal_weighted_energy(self, case):
+        window, vp, mixture, hyp = case
+        hyp = HypothesisSet(max(hyp.d_min, 0), max(hyp.d_max, 0))
+        noise_var = float(mixture.variances[0])
+        result = wed_estimate(window, vp, noise_var, hyp)
+        energy = (np.abs(window.samples) ** 2).sum(axis=0)
+        ref = [
+            np.sum(energy / (vp.window(int(d), window.length) + noise_var / 2.0))
+            for d in hyp.values
+        ]
+        np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
+
+    def test_shift_consistency_at_high_snr(self, sim_profile):
+        # windows one sample apart come from one stream, so the decisions
+        # must move together
+        cfg = SystemConfig(n_data=64, n_zero=12, n_taps=10, n_blocks=3, mod_order=16,
+                           snr_db=35.0)
+        mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), 1.0, cfg.snr_db)
+        vp = variance_profile_h0(cfg, sim_profile)
+        hyp = HypothesisSet(0, 40)
+        windows = [
+            assemble_window(cfg, sim_profile, mixture, d, seed=(21, 4), d_pad=0)
+            for d in (17, 18)
+        ]
+        for estimate in (
+            lambda w: aml_estimate(w, vp, mixture, hyp),
+            lambda w: wed_estimate(w, vp, float(mixture.variances[0]), hyp),
+            lambda w: ed_estimate(w, hyp),
+        ):
+            first, second = (estimate(w).d_hat for w in windows)
+            assert (first, second) == (17, 18)
+
+
+class TestNonFiniteInput:
+    """A prefix sum spreads one bad sample into every later segment, so the
+    estimators refuse the window instead of returning d_min."""
+
+    @pytest.fixture
+    def link(self, paper_config, sim_profile):
+        mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), 1.0, 10.0)
+        vp = variance_profile_h0(paper_config, sim_profile)
+        window = assemble_window(paper_config, sim_profile, mixture, 5, seed=(8, 1), d_pad=0)
+        return window, vp, mixture
+
+    @staticmethod
+    def estimators(vp, mixture):
+        hyp = HypothesisSet(0, 30)
+        return {
+            "aml": lambda w: aml_estimate(w, vp, mixture, hyp),
+            "wed": lambda w: wed_estimate(w, vp, float(mixture.variances[0]), hyp),
+            "ed": lambda w: ed_estimate(w, hyp),
+        }
+
+    @pytest.mark.parametrize("est", ["aml", "wed", "ed"])
+    def test_nan_sample_rejected(self, link, est):
+        window, vp, mixture = link
+        samples = window.samples.copy()
+        samples[0, 1000] = np.nan
+        with pytest.raises(ConfigError, match="non-finite samples"):
+            self.estimators(vp, mixture)[est](make_window(samples, window.config))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("est", ["aml", "wed", "ed"])
+    def test_overflowing_sample_rejected(self, link, est):
+        window, vp, mixture = link
+        samples = window.samples.copy()
+        samples[0, 1000] = 1e200
+        with pytest.raises(ConfigError, match="not finite"):
+            self.estimators(vp, mixture)[est](make_window(samples, window.config))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zpsync import ConfigError, DelayProfile, NoiseMixture, SystemConfig
+from zpsync import ConfigError, DelayProfile, NoiseMixture, SystemConfig, harness
 from zpsync.harness import (
     ExperimentSpec,
     histogram_to_csv,
@@ -254,3 +254,21 @@ class TestRuntimeScaling:
     def test_needs_three_sizes(self):
         with pytest.raises(ConfigError):
             run_runtime_scaling(SMALL, [1, 2], trials=3)
+
+    def test_caller_link_reaches_estimator(self, monkeypatch):
+        seen = []
+        original = harness.aml_estimate
+
+        def spy(window, vp, mixture, hyp):
+            seen.append((window.profile, mixture))
+            return original(window, vp, mixture, hyp)
+
+        monkeypatch.setattr(harness, "aml_estimate", spy)
+        run_runtime_scaling(
+            SMALL, [1, 2, 3], trials=1, profile=SMALL_PROFILE, mixture=IMPULSIVE
+        )
+        assert len(seen) == 3 * (1 + 3)  # warm-up calls included
+        for profile, mixture in seen:
+            assert profile is SMALL_PROFILE
+            np.testing.assert_array_equal(mixture.probs, IMPULSIVE.probs)
+            assert mixture.variances[1] / mixture.variances[0] == pytest.approx(100.0)
