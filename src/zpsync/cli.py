@@ -50,12 +50,19 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _number_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} needs a comma list of numbers, got {text!r}") from None
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _delay_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ConfigError(f"--delay-range must look like MIN:MAX, got {text!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -116,22 +123,21 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         overrides["estimators"] = args.estimators.split(",")
     if getattr(args, "snr", None):
         overrides["axis"] = "snr_db"
-        overrides["values"] = _float_list(args.snr)
+        overrides["values"] = _number_list(args.snr, float, "--snr")
     if getattr(args, "blocks", None):
         overrides["axis"] = "n_blocks"
-        overrides["values"] = _int_list(args.blocks)
+        overrides["values"] = _number_list(args.blocks, int, "--blocks")
     if getattr(args, "antennas", None):
         overrides["axis"] = "antennas"
         overrides["values"] = [parse_antennas(t) for t in args.antennas.split(",")]
     if getattr(args, "delay_range", None):
-        lo, _, hi = args.delay_range.partition(":")
-        overrides["d_min"], overrides["d_max"] = int(lo), int(hi)
+        overrides["d_min"], overrides["d_max"] = _delay_range(args.delay_range)
     if getattr(args, "k", None):
-        overrides["ks"] = _int_list(args.k)
+        overrides["ks"] = _number_list(args.k, int, "--k")
     if getattr(args, "alphas", None):
-        overrides["alphas"] = _float_list(args.alphas)
+        overrides["alphas"] = _number_list(args.alphas, float, "--alphas")
     if getattr(args, "sizes", None):
-        overrides["sizes"] = _int_list(args.sizes)
+        overrides["sizes"] = _number_list(args.sizes, int, "--sizes")
     return merge_settings(*layers, overrides)
 
 

@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ConfigError("sweep axis needs at least one value")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         if not self.estimators or any(e not in ESTIMATOR_IDS for e in self.estimators):
@@ -152,7 +154,11 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
-    blob = json.dumps(spec_to_dict(spec), sort_keys=True).encode()
+    """Hash of what determines the results: serial and parallel runs of one
+    spec give identical reports, so ``workers`` is left out."""
+    fields = spec_to_dict(spec)
+    del fields["workers"]
+    blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -388,6 +394,8 @@ def run_moment_validation(
     offset. Histogram bins follow the Freedman-Diaconis rule and are recorded
     so plots can be rebuilt from the data alone.
     """
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
     ks = np.asarray(list(sample_indices), dtype=int)
     if ks.size == 0:
         raise ConfigError("need at least one sample index")
@@ -483,6 +491,8 @@ def run_runtime_scaling(
     multipliers = [int(s) for s in multipliers]
     if len(multipliers) < 3:
         raise ConfigError("need at least 3 sizes for a scaling fit")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
     hyp = HypothesisSet(d_min, d_max)
     if profile is None:
         profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)

@@ -179,6 +179,14 @@ def loglik_class_table(
     Works class by class with in-place ufuncs on window-sized buffers: the
     only large allocation is the table itself, which keeps long-window timing
     free of allocator noise.
+
+    Mixture components are folded in with the max-shifted log-sum-exp
+    ``max(a, b) + log1p(exp(-|a - b|))``, the formula ``np.logaddexp``
+    evaluates, written out in ufuncs. On numpy 2.4 (x86-64) ``np.logaddexp``
+    is a scalar libm loop at about 40 ns per element, against 1.2 and 2.6 ns
+    for the vectorised ``exp`` and ``log1p``, and it took most of the
+    table's time under impulsive noise. ``log_b_function`` keeps
+    ``np.logaddexp`` as the reference.
     """
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.complex128)
     values = vp.class_values
@@ -186,7 +194,9 @@ def loglik_class_table(
     # I and Q interleaved: one ufunc call covers both parts of every antenna
     z2 = np.square(y.view(np.float64))
     acc = np.empty_like(z2)
-    term = np.empty_like(z2)
+    if mixture.n_components > 1:
+        term = np.empty_like(z2)
+        gap = np.empty_like(z2)
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     table = np.empty((values.size, m))
@@ -202,7 +212,13 @@ def loglik_class_table(
         for s, o in zip(scale[1:], offset[1:]):
             np.multiply(z2, s, out=term)
             term += o
-            np.logaddexp(acc, term, out=acc)
+            # gap = min - max = -|acc - term|, exactly
+            np.minimum(acc, term, out=gap)
+            np.maximum(acc, term, out=acc)
+            gap -= acc
+            np.exp(gap, out=gap)
+            np.log1p(gap, out=gap)
+            acc += gap
         np.add(parts[0], parts[1], out=t_row)
         for part in parts[2:]:
             t_row += part

@@ -182,6 +182,8 @@ def parse_antennas(token) -> tuple[int, int]:
     if isinstance(token, (tuple, list)) and len(token) == 2:
         return int(token[0]), int(token[1])
     parts = str(token).lower().split("x")
-    if len(parts) != 2:
-        raise ConfigFileError(f"antenna pair must look like '2x2', got {token!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        n_tx, n_rx = map(int, parts)
+    except ValueError:
+        raise ConfigFileError(f"antenna pair must look like '2x2', got {token!r}") from None
+    return n_tx, n_rx

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from zpsync.cli import main
 
 
@@ -234,3 +236,39 @@ def test_unseeded_run_records_random_seed(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert isinstance(manifest["master_seed"], int)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "fig2", "--snr", "abc"],
+        ["simulate", "--preset", "fig2", "--blocks", "2,x"],
+        ["simulate", "--preset", "fig2", "--delay-range", "5"],
+        ["simulate", "--preset", "fig2", "--delay-range", "a:5"],
+        ["simulate", "--preset", "fig2", "--antennas", "2xb"],
+        ["validate-pdf", "--preset", "table1", "--k", "1,a"],
+        ["sensitivity", "--preset", "fig7", "--alphas", "q"],
+        ["profile", "--preset", "fig2", "--sizes", "1,b"],
+    ],
+)
+def test_malformed_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-pdf", "--preset", "table1", "--k", "1", "--trials", "0"],
+        ["profile", "--preset", "fig2", "--sizes", "1,2,4", "--trials", "0"],
+        ["simulate", "--preset", "fig2", "--trials", "1", "--workers", "0"],
+        ["simulate", "--preset", "fig2", "--trials", "1", "--workers", "-3"],
+    ],
+)
+def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

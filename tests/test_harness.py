@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestExperimentSpecValidation:
     def test_empty_values(self):
         with pytest.raises(ConfigError):
             small_spec(values=())
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            small_spec(workers=workers)
+
+    def test_hash_ignores_workers(self, tmp_path):
+        # serial and parallel runs are identical, so they share a hash; the
+        # sidecar still records the worker count
+        serial, parallel = small_spec(), small_spec(workers=4)
+        assert spec_hash(serial) == spec_hash(parallel)
+        assert spec_hash(serial) != spec_hash(small_spec(trials=21))
+        sweep_to_json(harness.SweepReport(parallel, rows=()), tmp_path / "spec.json")
+        payload = json.loads((tmp_path / "spec.json").read_text())
+        assert payload["config_hash"] == spec_hash(serial)
+        assert payload["spec"]["workers"] == 4
 
 
 class TestRunSweep:
@@ -195,6 +212,11 @@ class TestMomentValidation:
         histogram_to_csv(report, 5, tmp_path / "hist.csv")
         assert (tmp_path / "hist.csv").read_text().startswith("bin_lo,bin_hi,count,analytic_pdf")
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_empty_run_rejected(self, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=trials)
+
     def test_index_bounds_checked(self):
         with pytest.raises(ConfigError):
             run_moment_validation(
@@ -250,6 +272,10 @@ class TestRuntimeScaling:
             assert row.ed_mean_ns < row.aml_mean_ns
             assert row.aml_min_ns <= row.aml_mean_ns
         assert 0.5 < report.loglog_slope < 1.7
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            run_runtime_scaling(SMALL, [1, 2, 4], trials=0)
 
     def test_needs_three_sizes(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from zpsync import (
@@ -9,6 +11,7 @@ from zpsync import (
     SystemConfig,
     b_function,
     log_b_function,
+    log_p_function,
     p_function,
     profile_window,
     variance_profile_h0,
@@ -270,3 +273,44 @@ class TestClassTable:
             gathered = table[vp.window_classes(d, m), np.arange(m)].sum()
             direct = window_loglik(y, d, vp, IMPULSIVE).loglik
             assert gathered == pytest.approx(direct, rel=1e-12)
+
+
+@st.composite
+def mixture_cases(draw):
+    """A mixture of 1-3 components (optionally with two identical ones, so the
+    fold meets exactly equal terms), a profile with a zero class, and a
+    window of 1-2 antennas whose samples reach 1e6, where the smaller
+    component's weight underflows."""
+    n = draw(st.integers(1, 3))
+    tie = draw(st.booleans()) and n < 3
+    weights = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
+    variances = [draw(st.floats(1e-3, 1e3)) for _ in range(n)]
+    if tie:
+        weights.append(weights[-1])
+        variances.append(variances[-1])
+    probs = np.array(weights) / sum(weights)
+    mixture = NoiseMixture(probs, np.array(variances))
+    body = [draw(st.sampled_from([0.0, 0.25, 0.5, 3.0])) for _ in range(draw(st.integers(1, 6)))]
+    n_rx = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (rng.standard_normal((n_rx, m)) + 1j * rng.standard_normal((n_rx, m))) * scale
+    return VarianceProfile(np.array(body)), mixture, y
+
+
+class TestClassTableMixture:
+    """The table's written-out log-sum-exp against ``log_p_function``, which
+    folds the components with ``np.logaddexp``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixture_cases())
+    def test_rows_equal_summed_log_p(self, case):
+        vp, mixture, y = case
+        table = loglik_class_table(y, vp, mixture)
+        assert table.shape == (vp.class_values.size, y.shape[1])
+        assert np.all(np.isfinite(table))
+        for row, kappa in zip(table, vp.class_values):
+            expected = sum(log_p_function(y_r, kappa, mixture) for y_r in y)
+            # atol only for cells whose log density is near 0
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
