@@ -5,6 +5,14 @@ stream: pure noise before the transmitter starts, then the superposition of
 per-antenna tap convolutions plus noise. A timing offset ``d`` only moves the
 slice start, so windows taken at different offsets from the same seed are
 bit-exact shifts of each other.
+
+Every draw comes from its own substream, keyed ``(seed, purpose, antenna,
+block)``. :func:`build_stream` keeps that layout but builds a trial in a few
+array passes: all blocks' data go through one inverse DFT, and each noise
+substream writes its unit normals straight into the stream before one
+scaling pass. It produces the same bits as drawing block by block with
+:func:`~zpsync.waveform.generate_block` and :func:`draw_noise`, which are
+thin wrappers over the same helpers.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ConfigError, SystemConfig, generate_block
+from .waveform import ConfigError, SystemConfig, draw_block_data
 
 # purpose tags for deriving independent substreams from one trial seed
 STREAM_SIGNAL = 1
@@ -24,14 +32,25 @@ STREAM_DELAY = 4
 STREAM_PDP_ERROR = 5
 
 
+_WORD = 1 << 32
+
+
 def substream(*entropy: int) -> np.random.Generator:
     """Independent generator derived from an entropy path.
 
     Streams for distinct paths are statistically independent and do not
     depend on evaluation order, so parallel trial workers can derive their
     own draws from (master_seed, trial_index, purpose, ...) tuples.
+
+    A path of plain ints below 2**32 is handed to ``SeedSequence`` as one
+    uint32 array, which it reads as the same words as the list but without
+    converting each int; any other path goes in as a list.
     """
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+    if all(type(w) is int and 0 <= w < _WORD for w in entropy):
+        words = np.array(entropy, dtype=np.uint32)
+    else:
+        words = list(entropy)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 @dataclass(frozen=True)
@@ -154,6 +173,44 @@ def draw_channel(
     return ChannelRealization(taps=taps)
 
 
+def _draw_unit_noise(
+    rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray | None
+) -> None:
+    """Draw one substream's noise before scaling, in place.
+
+    The substream first gives one uniform per sample (the component choice,
+    written to ``uniforms``), then unit normal I/Q pairs written through the
+    float64 view of the complex ``out``. A single-component mixture
+    (``uniforms=None``) needs no choice and skips the uniforms with
+    ``advance``: PCG64's ``random()`` consumes exactly one 64-bit output per
+    double, so the normals that follow are the same as after drawing and
+    discarding them.
+    """
+    if uniforms is None:
+        rng.bit_generator.advance(out.size)
+    else:
+        rng.random(out=uniforms)
+    rng.standard_normal(out=out.view(np.float64))
+
+
+def _scale_noise(
+    mixture: NoiseMixture, samples: np.ndarray, uniforms: np.ndarray | None
+) -> np.ndarray | None:
+    """Scale unit noise in place so each sample is CN(0, variances[l]) for
+    its component l, chosen by ``uniforms`` (same shape as ``samples``);
+    returns the component indices, or None for a single component."""
+    if uniforms is None:
+        which = None
+        scale = np.sqrt(mixture.variances[0] / 2.0)
+    else:
+        which = np.searchsorted(np.cumsum(mixture.probs), uniforms, side="right")
+        np.minimum(which, mixture.n_components - 1, out=which)
+        scale = np.sqrt(mixture.variances / 2.0)[which]
+    samples.real *= scale
+    samples.imag *= scale
+    return which
+
+
 def draw_noise(
     mixture: NoiseMixture,
     count: int,
@@ -166,13 +223,12 @@ def draw_noise(
     sample is CN(0, variances[l]). With ``return_components=True`` also
     returns the selected component index per sample.
     """
-    edges = np.cumsum(mixture.probs)
-    which = np.searchsorted(edges, rng.random(count), side="right")
-    which = np.minimum(which, mixture.n_components - 1)
-    base = rng.standard_normal((count, 2)) @ np.array([1.0, 1.0j])
-    samples = base * np.sqrt(mixture.variances[which] / 2.0)
+    samples = np.empty(count, dtype=np.complex128)
+    uniforms = np.empty(count) if mixture.n_components > 1 else None
+    _draw_unit_noise(rng, samples, uniforms)
+    which = _scale_noise(mixture, samples, uniforms)
     if return_components:
-        return samples, which
+        return samples, np.zeros(count, dtype=np.intp) if which is None else which
     return samples
 
 
@@ -231,7 +287,21 @@ def build_stream(
     Index 0 is the first transmitted sample; the d_pad leading samples are
     pure noise. One extra block beyond n_blocks is generated so windows
     starting anywhere up to block_len - 1 stay in support. All draws come
-    from substreams of ``seed``, independent of d_pad slicing.
+    from substreams of ``seed``, independent of d_pad slicing: the channel
+    from ``(seed, STREAM_CHANNEL)``, block n of tx antenna i from
+    ``(seed, STREAM_SIGNAL, i, n)``, and on rx antenna j the pre-pad noise
+    from ``(seed, STREAM_NOISE, j, 0)`` (not derived when d_pad is 0) and
+    the noise under block n from ``(seed, STREAM_NOISE, j, n + 1)``.
+
+    The trial is built in array passes: the data of all (i, n) blocks go
+    through one gather and one inverse DFT into a zeroed
+    (n_tx, n_gen, block_len) frame; each noise substream draws its
+    component uniforms and unit normals straight into the stream (a
+    single-component mixture skips the uniforms with ``advance(count)``,
+    which is exact, see :func:`_draw_unit_noise`), one pass scales all of
+    them; then each rx antenna adds the sum of its tx convolutions. The stream is
+    bit-identical to drawing every block with ``generate_block`` and
+    ``draw_noise`` on its own substream.
     """
     n_s = config.block_len
     n_gen = config.n_blocks + 1
@@ -241,24 +311,36 @@ def build_stream(
         channel = draw_channel(
             profile, config.n_tx, config.n_rx, substream(*seed, STREAM_CHANNEL)
         )
-    frames = np.empty((config.n_tx, sig_len), dtype=np.complex128)
-    for i in range(config.n_tx):
-        for n in range(n_gen):
-            block = generate_block(config, i, n, substream(*seed, STREAM_SIGNAL, i, n))
-            frames[i, n * n_s : (n + 1) * n_s] = block.samples
+    frames = np.zeros((config.n_tx, n_gen, n_s), dtype=np.complex128)
+    draw_block_data(
+        config,
+        [
+            substream(*seed, STREAM_SIGNAL, i, n)
+            for i in range(config.n_tx)
+            for n in range(n_gen)
+        ],
+        frames.reshape(-1, n_s)[:, : config.n_data],
+    )
+    frames = frames.reshape(config.n_tx, sig_len)
 
+    # noise block 0 is the pre-pad, block n + 1 lies under signal block n
+    edges = [0] + [d_pad + n * n_s for n in range(n_gen + 1)]
+    spans = [(b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
     stream = np.empty((config.n_rx, d_pad + sig_len), dtype=np.complex128)
+    uniforms = np.empty(stream.shape) if mixture.n_components > 1 else None
     for j in range(config.n_rx):
-        sig = np.zeros(sig_len, dtype=np.complex128)
-        for i in range(config.n_tx):
-            sig += convolve_frame(frames[i], channel.taps[j, i])
-        noise = np.empty(d_pad + sig_len, dtype=np.complex128)
-        noise[:d_pad] = draw_noise(mixture, d_pad, substream(*seed, STREAM_NOISE, j, 0))
-        for n in range(n_gen):
-            noise[d_pad + n * n_s : d_pad + (n + 1) * n_s] = draw_noise(
-                mixture, n_s, substream(*seed, STREAM_NOISE, j, n + 1)
+        for b, lo, hi in spans:
+            _draw_unit_noise(
+                substream(*seed, STREAM_NOISE, j, b),
+                stream[j, lo:hi],
+                None if uniforms is None else uniforms[j, lo:hi],
             )
-        stream[j] = noise
+    _scale_noise(mixture, stream, uniforms)
+
+    for j in range(config.n_rx):
+        sig = convolve_frame(frames[0], channel.taps[j, 0])
+        for i in range(1, config.n_tx):
+            sig += convolve_frame(frames[i], channel.taps[j, i])
         stream[j, d_pad:] += sig
     return stream, channel
 

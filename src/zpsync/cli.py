@@ -70,8 +70,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named preset (fig2..fig7, table1)")
     parser.add_argument("--trials", type=int, help="trials per sweep point")
     parser.add_argument("--seed", type=int, help="master seed (random if omitted)")
-    parser.add_argument("--workers", type=int, default=1, help="trial worker processes")
     parser.add_argument("--out", help="output directory (default runs/<command>)")
+
+
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=1, help="trial worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="lock-in probability sweep")
     _add_common(sim)
+    _add_workers(sim)
     sim.add_argument("--estimators", help="comma list from aml,wed,ed")
     sim.add_argument("--noise", choices=["gaussian", "impulsive"])
     sim.add_argument("--snr", help="comma list of SNR points in dB (axis snr_db)")
@@ -97,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sens = sub.add_parser("sensitivity", help="delay-profile error sensitivity")
     _add_common(sens)
+    _add_workers(sens)
     sens.add_argument("--alphas", help="comma list of per-tap error magnitudes in [0,1)")
     sens.add_argument("--noise", choices=["gaussian", "impulsive"])
     sens.add_argument("--delay-range", help="offset range MIN:MAX")

@@ -10,6 +10,7 @@ random numbers), which sharpens trend comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -248,36 +249,42 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     """Run every sweep point and aggregate lock-in statistics.
 
     All selected estimators see the identical window in each trial, so a
-    difference between their columns is purely an estimator effect.
+    difference between their columns is purely an estimator effect. With
+    ``workers > 1`` one process pool serves every point of the sweep.
     """
     rows: list[PointResult] = []
     all_outcomes: dict = {}
-    for value in spec.values:
-        if spec.workers > 1:
-            parts = _chunks(spec.trials, spec.workers * 4)
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    pool_context = (
+        ProcessPoolExecutor(max_workers=spec.workers)
+        if spec.workers > 1
+        else contextlib.nullcontext()
+    )
+    with pool_context as pool:
+        for value in spec.values:
+            if pool is not None:
+                parts = _chunks(spec.trials, spec.workers * 4)
                 futures = [pool.submit(_run_trials, spec, value, part) for part in parts]
                 outcomes = [o for f in futures for o in f.result()]
-        else:
-            outcomes = _run_trials(spec, value, range(spec.trials))
-        for est in spec.estimators:
-            successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
-            ci_lo, ci_hi = wilson_interval(successes, spec.trials)
-            mean_ns = float(np.mean([o.elapsed_ns[est] for o in outcomes]))
-            rows.append(
-                PointResult(
-                    axis_value=value,
-                    estimator=est,
-                    trials=spec.trials,
-                    successes=successes,
-                    lock_in=successes / spec.trials,
-                    ci_lo=ci_lo,
-                    ci_hi=ci_hi,
-                    mean_ns=mean_ns,
+            else:
+                outcomes = _run_trials(spec, value, range(spec.trials))
+            for est in spec.estimators:
+                successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
+                ci_lo, ci_hi = wilson_interval(successes, spec.trials)
+                mean_ns = float(np.mean([o.elapsed_ns[est] for o in outcomes]))
+                rows.append(
+                    PointResult(
+                        axis_value=value,
+                        estimator=est,
+                        trials=spec.trials,
+                        successes=successes,
+                        lock_in=successes / spec.trials,
+                        ci_lo=ci_lo,
+                        ci_hi=ci_hi,
+                        mean_ns=mean_ns,
+                    )
                 )
-            )
-        if keep_outcomes:
-            all_outcomes[value] = outcomes
+            if keep_outcomes:
+                all_outcomes[value] = outcomes
     return SweepReport(spec=spec, rows=tuple(rows), outcomes=all_outcomes if keep_outcomes else None)
 
 

@@ -166,6 +166,10 @@ def window_loglik(
     return HypothesisScore(d=d, loglik=total)
 
 
+# scratch doubles per group of classes in a single-component table (512 KB)
+_GROUP_ELEMENTS = 1 << 16
+
+
 def loglik_class_table(
     y: np.ndarray, vp: VarianceProfile, mixture: NoiseMixture
 ) -> np.ndarray:
@@ -176,9 +180,11 @@ def loglik_class_table(
     prefix sums of this table over the profile's constant-class runs, so the
     transcendentals are paid once per window, not once per hypothesis.
 
-    Works class by class with in-place ufuncs on window-sized buffers: the
-    only large allocation is the table itself, which keeps long-window timing
-    free of allocator noise.
+    Works with in-place ufuncs on small scratch buffers: the only large
+    allocation is the table itself, which keeps long-window timing free of
+    allocator noise. Mixtures go class by class on window-sized buffers;
+    single-component noise groups classes on short windows (see
+    :func:`_single_component_table`).
 
     Mixture components are folded in with the max-shifted log-sum-exp
     ``max(a, b) + log1p(exp(-|a - b|))``, the formula ``np.logaddexp``
@@ -193,20 +199,21 @@ def loglik_class_table(
     n_rx, m = y.shape
     # I and Q interleaved: one ufunc call covers both parts of every antenna
     z2 = np.square(y.view(np.float64))
+    var = values[:, None] + mixture.variances / 2.0
+    scales = -0.5 / var
+    offsets = np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var)
+    if mixture.n_components == 1:
+        return _single_component_table(z2, scales, offsets)
     acc = np.empty_like(z2)
-    if mixture.n_components > 1:
-        term = np.empty_like(z2)
-        gap = np.empty_like(z2)
+    term = np.empty_like(z2)
+    gap = np.empty_like(z2)
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     table = np.empty((values.size, m))
-    # per (class, component) constants, computed once as Python floats:
-    # scalar numpy arithmetic inside the loop would add a fixed cost per call
-    # that is a large share of a short window
-    var = values[:, None] + mixture.variances / 2.0
-    scales = (-0.5 / var).tolist()
-    offsets = (np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var)).tolist()
-    for t_row, scale, offset in zip(table, scales, offsets):
+    # per (class, component) constants as Python floats: scalar numpy
+    # arithmetic inside the loop would add a fixed cost per call that is a
+    # large share of a short window
+    for t_row, scale, offset in zip(table, scales.tolist(), offsets.tolist()):
         np.multiply(z2, scale[0], out=acc)
         acc += offset[0]
         for s, o in zip(scale[1:], offset[1:]):
@@ -222,4 +229,38 @@ def loglik_class_table(
         np.add(parts[0], parts[1], out=t_row)
         for part in parts[2:]:
             t_row += part
+    return table
+
+
+def _single_component_table(
+    z2: np.ndarray, scales: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Table rows for single-component noise, a few classes per ufunc call.
+
+    ``z2`` holds the squared I/Q parts, (n_rx, 2 * m) interleaved; ``scales``
+    and ``offsets`` are (n_classes, 1) columns. Each row costs three cheap
+    passes (scale, shift, add the parts), so on short windows the per-call
+    overhead outweighs the arithmetic: classes go in groups as large as fit
+    in a scratch buffer of ``_GROUP_ELEMENTS`` doubles (one class at a time
+    for long windows). Every cell is computed with the same operations in
+    the same order as one class at a time.
+    """
+    n_rx, width = z2.shape
+    n_classes = scales.shape[0]
+    flat = z2.reshape(1, -1)
+    group = max(1, min(n_classes, _GROUP_ELEMENTS // flat.size))
+    acc = np.empty((group, flat.size))
+    table = np.empty((n_classes, width // 2))
+    for lo in range(0, n_classes, group):
+        hi = min(lo + group, n_classes)
+        block = acc[: hi - lo]
+        np.multiply(flat, scales[lo:hi], out=block)
+        block += offsets[lo:hi]
+        # the parts in the order their terms are summed: antenna by antenna, I then Q
+        parts = block.reshape(hi - lo, n_rx, width)
+        rows = table[lo:hi]
+        np.add(parts[:, 0, 0::2], parts[:, 0, 1::2], out=rows)
+        for r in range(1, n_rx):
+            rows += parts[:, r, 0::2]
+            rows += parts[:, r, 1::2]
     return table

@@ -75,11 +75,27 @@ def _parse_scalar(token: str, where: str):
         raise ConfigFileError(f"{where}: cannot parse value {token!r}") from None
 
 
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """Split ``text`` at every ``sep`` that lies outside double quotes."""
+    parts, start, quoted = [], 0, False
+    for pos, char in enumerate(text):
+        if char == '"':
+            quoted = not quoted
+        elif char == sep and not quoted:
+            parts.append(text[start:pos])
+            start = pos + 1
+    parts.append(text[start:])
+    return parts
+
+
 def parse_flat_config(text: str, source: str = "<config>") -> dict:
-    """Parse a flat key/value config document."""
+    """Parse a flat key/value config document.
+
+    ``#`` starts a comment and ``,`` separates list items, except inside a
+    double-quoted string."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
         where = f"{source}:{lineno}"
@@ -92,7 +108,7 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
             raise ConfigFileError(f"{where}: unknown key {key!r}")
         if value.startswith("[") and value.endswith("]"):
             inner = value[1:-1].strip()
-            items = [t for t in (s.strip() for s in inner.split(",")) if t]
+            items = [t for t in (s.strip() for s in _split_unquoted(inner, ",")) if t]
             out[key] = [_parse_scalar(t, where) for t in items]
         else:
             out[key] = _parse_scalar(value, where)

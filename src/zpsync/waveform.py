@@ -122,6 +122,33 @@ def qam_constellation(mod_order: int) -> np.ndarray:
     return points
 
 
+def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
+    """Write the data samples of ``len(rngs)`` blocks into ``out``.
+
+    ``out`` has one row of ``n_data`` samples per block (the last axis must
+    be contiguous, e.g. the data columns of a zeroed frame), and row ``r``
+    takes all of its draws from ``rngs[r]`` in order. QAM rows are gathered
+    from the constellation and sent through one inverse DFT over all rows;
+    Gaussian-source rows draw unit normal I/Q pairs in place. One scaling
+    pass gives every sample expected power signal_power / n_tx (the total
+    transmit power is held constant as antennas are added).
+    """
+    per_antenna = config.signal_power / config.n_tx
+    if config.gaussian_source:
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row.view(np.float64))
+        out *= np.sqrt(per_antenna / 2.0)
+    else:
+        indices = np.array(
+            [rng.integers(0, config.mod_order, size=config.n_data) for rng in rngs]
+        )
+        symbols = qam_constellation(config.mod_order)[indices]
+        # unitary inverse DFT: per-block time-domain energy equals symbol energy
+        np.multiply(
+            np.fft.ifft(symbols, axis=-1), np.sqrt(config.n_data * per_antenna), out=out
+        )
+
+
 def generate_block(
     config: SystemConfig,
     antenna: int,
@@ -130,22 +157,13 @@ def generate_block(
 ) -> OfdmBlock:
     """Generate one transmitted block for the given antenna.
 
-    Data samples are an inverse DFT of i.i.d. QAM points scaled so their
-    expected power is signal_power / n_tx (the total transmit power is held
-    constant as antennas are added); the zero pad is exact.
+    Data samples are an inverse DFT of i.i.d. QAM points (see
+    :func:`draw_block_data`); the zero pad is exact.
     """
     if not 0 <= antenna < config.n_tx:
         raise ConfigError(f"antenna {antenna} out of range for n_tx={config.n_tx}")
-    per_antenna = config.signal_power / config.n_tx
-    if config.gaussian_source:
-        data = rng.standard_normal(2 * config.n_data).view(np.complex128)
-        data *= np.sqrt(per_antenna / 2.0)
-    else:
-        points = qam_constellation(config.mod_order)
-        symbols = points[rng.integers(0, config.mod_order, size=config.n_data)]
-        # unitary inverse DFT: per-block time-domain energy equals symbol energy
-        data = np.fft.ifft(symbols) * np.sqrt(config.n_data * per_antenna)
-    samples = np.concatenate([data, np.zeros(config.n_zero, dtype=np.complex128)])
+    samples = np.zeros(config.block_len, dtype=np.complex128)
+    draw_block_data(config, [rng], samples[None, : config.n_data])
     return OfdmBlock(samples=samples, antenna=antenna, block_index=block_index)
 
 

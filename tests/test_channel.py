@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zpsync import (
     ConfigError,
@@ -13,6 +15,8 @@ from zpsync import (
     scale_mixture_to_snr,
 )
 from zpsync.channel import (
+    STREAM_CHANNEL,
+    STREAM_NOISE,
     STREAM_SIGNAL,
     ChannelRealization,
     build_stream,
@@ -119,6 +123,55 @@ class TestNoiseMixture:
         assert abs(count - n * 0.01) < 3 * sigma
 
 
+THREE_COMPONENTS = NoiseMixture(np.array([0.6, 0.3, 0.1]), np.array([0.2, 1.0, 40.0]))
+MIXTURES = (NoiseMixture.gaussian(0.7), NoiseMixture.impulsive(0.9, 1.0, 100.0), THREE_COMPONENTS)
+
+
+@pytest.mark.parametrize("mixture", MIXTURES, ids=["gaussian", "impulsive", "three"])
+def test_draw_noise_matches_explicit_draws(mixture):
+    # the substream gives one uniform per sample, then the I/Q normals; a
+    # single component skips the uniforms by advancing the generator, which
+    # must leave the normals where drawing and discarding them would
+    count = 301
+    rng = np.random.default_rng(2024)
+    uniforms = rng.random(count)
+    pairs = rng.standard_normal((count, 2))
+    which = np.searchsorted(np.cumsum(mixture.probs), uniforms, side="right")
+    which = np.minimum(which, mixture.n_components - 1)
+    scale = np.sqrt(mixture.variances[which] / 2.0)
+    expected = np.empty(count, dtype=np.complex128)
+    expected.real = pairs[:, 0] * scale
+    expected.imag = pairs[:, 1] * scale
+    samples, got = draw_noise(mixture, count, np.random.default_rng(2024), return_components=True)
+    np.testing.assert_array_equal(samples, expected)
+    np.testing.assert_array_equal(got, which)
+
+
+class TestSubstream:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([2**32 - 1, 0, 3])
+    @example([2**32, 5])
+    def test_state_matches_list_seed(self, path):
+        expected = np.random.default_rng(np.random.SeedSequence(list(path)))
+        assert substream(*path).bit_generator.state == expected.bit_generator.state
+
+    def test_numpy_ints_match_plain_ints(self):
+        path = (np.int64(7), np.uint64(2**40), 3)
+        expected = np.random.default_rng(np.random.SeedSequence([7, 2**40, 3]))
+        assert substream(*path).bit_generator.state == expected.bit_generator.state
+
+    def test_negative_word_rejected(self):
+        with pytest.raises(ValueError):
+            substream(3, -1)
+
+
 class TestScaleMixtureToSnr:
     def test_single_component_zero_db(self):
         mixture = NoiseMixture.gaussian(2.0)
@@ -172,6 +225,80 @@ class TestConvolveFrame:
                 if i - u >= 0:
                     toeplitz[i, i - u] = taps[u]
         np.testing.assert_allclose(convolve_frame(block, taps), toeplitz @ block, atol=1e-12)
+
+
+def per_block_stream(config, profile, mixture, seed, d_pad):
+    """The receive stream drawn one block and one noise substream at a time,
+    each tx convolution summed before the noise is added."""
+    n_s = config.block_len
+    n_gen = config.n_blocks + 1
+    channel = draw_channel(profile, config.n_tx, config.n_rx, substream(*seed, STREAM_CHANNEL))
+    frames = [
+        np.concatenate(
+            [
+                generate_block(config, i, n, substream(*seed, STREAM_SIGNAL, i, n)).samples
+                for n in range(n_gen)
+            ]
+        )
+        for i in range(config.n_tx)
+    ]
+    rows = []
+    for j in range(config.n_rx):
+        sig = np.zeros(n_gen * n_s, dtype=np.complex128)
+        for i in range(config.n_tx):
+            sig += convolve_frame(frames[i], channel.taps[j, i])
+        noise = [draw_noise(mixture, d_pad, substream(*seed, STREAM_NOISE, j, 0))]
+        noise += [
+            draw_noise(mixture, n_s, substream(*seed, STREAM_NOISE, j, n + 1))
+            for n in range(n_gen)
+        ]
+        row = np.concatenate(noise)
+        row[d_pad:] += sig
+        rows.append(row)
+    return np.array(rows), channel
+
+
+@st.composite
+def stream_cases(draw):
+    """A small link with 1-2 antennas per side, QAM or Gaussian source, one
+    to three noise components, any pre-pad and master seeds past 2**32."""
+    n_taps = draw(st.integers(1, 4))
+    config = SystemConfig(
+        n_data=draw(st.integers(1, 40)),
+        n_zero=draw(st.integers(n_taps, n_taps + 5)),
+        n_taps=n_taps,
+        n_blocks=draw(st.integers(1, 3)),
+        n_tx=draw(st.sampled_from([1, 2])),
+        n_rx=draw(st.sampled_from([1, 2])),
+        mod_order=draw(st.sampled_from([4, 16, 128])),
+        gaussian_source=draw(st.booleans()),
+    )
+    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), n_taps)
+    mixture = draw(st.sampled_from(MIXTURES))
+    seed = (draw(st.sampled_from([0, 17, 2**32 - 1, 2**32, 2**45 + 3])), draw(st.integers(0, 99)))
+    d_pad = draw(st.sampled_from([0, 0, 1, 7, 40]))
+    return config, profile, mixture, seed, d_pad
+
+
+class TestBuildStreamBitExact:
+    """The batched generator keeps the per-block substream layout bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stream_cases())
+    def test_equals_per_block_draws(self, case):
+        config, profile, mixture, seed, d_pad = case
+        stream, channel = build_stream(config, profile, mixture, seed, d_pad)
+        ref_stream, ref_channel = per_block_stream(config, profile, mixture, seed, d_pad)
+        np.testing.assert_array_equal(channel.taps, ref_channel.taps)
+        np.testing.assert_array_equal(stream, ref_stream)
+
+    def test_equals_per_block_draws_at_paper_size(self, paper_config, sim_profile):
+        mimo = SystemConfig(n_tx=2, n_rx=2)
+        mixture = scale_mixture_to_snr(NoiseMixture.impulsive(), 1.0, 5.0)
+        for config, d_pad in ((paper_config, 0), (mimo, 30)):
+            stream, _ = build_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
+            ref, _ = per_block_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
+            np.testing.assert_array_equal(stream, ref)
 
 
 class TestAssembleWindow:

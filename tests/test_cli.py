@@ -265,6 +265,7 @@ def test_malformed_flag_exits_2(tmp_path, capsys, argv):
         ["profile", "--preset", "fig2", "--sizes", "1,2,4", "--trials", "0"],
         ["simulate", "--preset", "fig2", "--trials", "1", "--workers", "0"],
         ["simulate", "--preset", "fig2", "--trials", "1", "--workers", "-3"],
+        ["sensitivity", "--preset", "fig7", "--alphas", "0", "--trials", "1", "--workers", "0"],
     ],
 )
 def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
@@ -272,3 +273,21 @@ def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-pdf", "--preset", "table1", "--k", "1", "--workers", "2"],
+        ["validate-pdf", "--preset", "table1", "--k", "1", "--workers", "0"],
+        ["profile", "--preset", "fig2", "--sizes", "1,2,4", "--workers", "-2"],
+    ],
+)
+def test_workers_flag_only_on_sweeps(tmp_path, capsys, argv):
+    # validate-pdf and profile run in one process, so they take no --workers
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

@@ -151,11 +151,27 @@ class TestRunSweep:
                 assert set(o.d_hat) == {"aml", "wed", "ed"}
                 assert set(o.elapsed_ns) == {"aml", "wed", "ed"}
 
-    def test_worker_pool_matches_serial(self):
-        serial = run_sweep(small_spec(trials=12))
-        parallel = run_sweep(small_spec(trials=12, workers=2))
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        values = (6.0, 12.0)
+        serial = run_sweep(small_spec(trials=12, values=values), keep_outcomes=True)
+        parallel = run_sweep(small_spec(trials=12, values=values, workers=2), keep_outcomes=True)
+        assert len(pools) == 1  # one pool for the whole sweep, not one per value
         assert serial.rows[0].successes == parallel.rows[0].successes
         assert serial.rows[0].lock_in == parallel.rows[0].lock_in
+        untimed = [dataclasses.replace(row, mean_ns=0.0) for row in serial.rows]
+        assert untimed == [dataclasses.replace(row, mean_ns=0.0) for row in parallel.rows]
+        for value in values:
+            assert [(o.trial_index, o.d_true, o.d_hat) for o in serial.outcomes[value]] == [
+                (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
+            ]
 
     def test_antenna_axis(self):
         report = run_sweep(small_spec(axis="antennas", values=((1, 1), (2, 2)), trials=5))

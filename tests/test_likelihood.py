@@ -314,3 +314,30 @@ class TestClassTableMixture:
             expected = sum(log_p_function(y_r, kappa, mixture) for y_r in y)
             # atol only for cells whose log density is near 0
             np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestSingleComponentTable:
+    """Grouping classes per ufunc call changes no cell: every cell equals the
+    class-by-class arithmetic (scale, shift, add the parts in antenna
+    order, I before Q)."""
+
+    @pytest.mark.parametrize("n_rx", [1, 3])
+    @pytest.mark.parametrize("m", [7, 5000, 40000])  # all classes at once, groups, one at a time
+    def test_cells_equal_per_class_arithmetic(self, n_rx, m):
+        rng = np.random.default_rng(m + n_rx)
+        y = (rng.standard_normal((n_rx, m)) + 1j * rng.standard_normal((n_rx, m))) * 2.0
+        vp = VarianceProfile(np.linspace(0.0, 3.0, 19))
+        mixture = NoiseMixture.gaussian(0.3)
+        table = loglik_class_table(y, vp, mixture)
+        var = vp.class_values[:, None] + mixture.variances / 2.0
+        scales = (-0.5 / var)[:, 0]
+        offsets = (np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var))[:, 0]
+        z2 = np.square(y.view(np.float64))
+        assert table.shape == (vp.class_values.size, m)
+        for row, scale, offset in zip(table, scales, offsets):
+            acc = z2 * scale + offset
+            expected = acc[0, 0::2] + acc[0, 1::2]
+            for r in range(1, n_rx):
+                expected += acc[r, 0::2]
+                expected += acc[r, 1::2]
+            np.testing.assert_array_equal(row, expected)

@@ -82,6 +82,23 @@ class TestGenerateBlock:
         )
         assert np.mean(np.abs(data) ** 2) == pytest.approx(2.0, rel=0.02)
 
+    @pytest.mark.parametrize("n_tx", [1, 2])
+    def test_matches_explicit_draws(self, n_tx):
+        # QAM indices -> constellation -> unitary IDFT -> per-antenna power
+        cfg = SystemConfig(n_data=64, n_zero=8, n_taps=4, n_tx=n_tx, mod_order=16)
+        rng = np.random.default_rng(31)
+        symbols = qam_constellation(16)[rng.integers(0, 16, size=64)]
+        data = np.fft.ifft(symbols) * np.sqrt(64 * cfg.signal_power / n_tx)
+        block = generate_block(cfg, 0, 0, np.random.default_rng(31))
+        np.testing.assert_array_equal(block.samples, np.concatenate([data, np.zeros(8)]))
+
+    def test_gaussian_source_matches_explicit_draws(self):
+        cfg = SystemConfig(n_data=64, n_zero=8, n_taps=4, gaussian_source=True, signal_power=2.0)
+        data = np.random.default_rng(32).standard_normal(128).view(np.complex128)
+        data *= np.sqrt(cfg.signal_power / 2.0)
+        block = generate_block(cfg, 0, 0, np.random.default_rng(32))
+        np.testing.assert_array_equal(block.samples, np.concatenate([data, np.zeros(8)]))
+
     def test_whiteness_lag1(self, paper_config, rng):
         data = generate_block(paper_config, 0, 0, rng).samples[:512]
         rho = np.abs(np.vdot(data[:-1], data[1:])) / np.vdot(data, data).real
