@@ -184,7 +184,9 @@ def _draw_unit_noise(
     (``uniforms=None``) needs no choice and skips the uniforms with
     ``advance``: PCG64's ``random()`` consumes exactly one 64-bit output per
     double, so the normals that follow are the same as after drawing and
-    discarding them.
+    discarding them. ``advance`` also drops the half of a 64-bit output that
+    the generator may hold back for its next 32-bit integer draw, so skip
+    only on a generator that holds none, such as a fresh substream.
     """
     if uniforms is None:
         rng.bit_generator.advance(out.size)
@@ -224,9 +226,9 @@ def draw_noise(
     returns the selected component index per sample.
     """
     samples = np.empty(count, dtype=np.complex128)
-    uniforms = np.empty(count) if mixture.n_components > 1 else None
+    uniforms = np.empty(count)  # drawn even for one component: see _draw_unit_noise
     _draw_unit_noise(rng, samples, uniforms)
-    which = _scale_noise(mixture, samples, uniforms)
+    which = _scale_noise(mixture, samples, uniforms if mixture.n_components > 1 else None)
     if return_components:
         return samples, np.zeros(count, dtype=np.intp) if which is None else which
     return samples

@@ -28,12 +28,14 @@ from .channel import (
     DelayProfile,
     NoiseMixture,
     assemble_window,
+    draw_channel,
+    draw_noise,
     scale_mixture_to_snr,
     substream,
 )
 from .estimators import HypothesisSet, aml_estimate, ed_estimate, wed_estimate
 from .likelihood import b_function, variance_profile_h0
-from .waveform import ConfigError, SystemConfig, qam_constellation
+from .waveform import ConfigError, SystemConfig, draw_block_data
 
 SWEEP_AXES = ("snr_db", "n_blocks", "antennas", "p0", "pdp_alpha")
 ESTIMATOR_IDS = ("aml", "wed", "ed")
@@ -356,30 +358,21 @@ def _batch_received_samples(
     batch: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received in-phase samples at the requested block positions, one row per
-    trial (fresh channel, data and noise per trial; no timing offset)."""
-    n_x = config.n_data
-    if config.gaussian_source:
-        s = rng.standard_normal((batch, 2 * n_x)).view(np.complex128)
-        s *= np.sqrt(config.signal_power / 2.0)
-    else:
-        points = qam_constellation(config.mod_order)
-        symbols = points[rng.integers(0, config.mod_order, size=(batch, n_x))]
-        s = np.fft.ifft(symbols, axis=1) * np.sqrt(n_x * config.signal_power)
-    taps = rng.standard_normal((batch, config.n_taps, 2)) @ np.array([1.0, 1.0j])
-    taps *= np.sqrt(profile.powers / 2.0)
+    """Received samples at the requested block positions, one row per trial
+    (fresh data, channel and noise per trial, drawn from ``rng`` in that order
+    by the window generator's helpers; no timing offset)."""
+    s = np.empty((batch, config.n_data), dtype=np.complex128)
+    draw_block_data(dataclasses.replace(config, n_tx=1), [rng], s)
+    taps = draw_channel(profile, 1, batch, rng).taps[:, 0]
     out = np.empty((batch, ks.size), dtype=np.complex128)
     for col, k in enumerate(ks):
         acc = np.zeros(batch, dtype=np.complex128)
         for u in range(config.n_taps):
             pos = k - u
-            if 0 <= pos < n_x:
+            if 0 <= pos < config.n_data:
                 acc += taps[:, u] * s[:, pos]
         out[:, col] = acc
-    comp = np.searchsorted(np.cumsum(scaled.probs), rng.random((batch, ks.size)), side="right")
-    comp = np.minimum(comp, scaled.n_components - 1)
-    draw = rng.standard_normal((batch, ks.size, 2)) @ np.array([1.0, 1.0j])
-    out += draw * np.sqrt(scaled.variances[comp] / 2.0)
+    out += draw_noise(scaled, out.size, rng).reshape(out.shape)
     return out
 
 
@@ -398,11 +391,18 @@ def run_moment_validation(
 
     Uses the true QAM + inverse-DFT waveform (or the Gaussian oracle source
     if the config requests it), one independent block per trial at zero
-    offset. Histogram bins follow the Freedman-Diaconis rule and are recorded
-    so plots can be rebuilt from the data alone.
+    offset, drawn with the window generator's own helpers
+    (``draw_block_data``, ``draw_channel``, ``draw_noise``) from one
+    generator, ``batch`` trials at a time. Each trial models one transmit
+    antenna at full ``signal_power`` whatever ``config.n_tx`` is (the
+    analytic variance profile is the same for any n_tx). Histogram bins
+    follow the Freedman-Diaconis rule and are recorded so plots can be
+    rebuilt from the data alone.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if batch < 1:
+        raise ConfigError("batch must be >= 1")
     ks = np.asarray(list(sample_indices), dtype=int)
     if ks.size == 0:
         raise ConfigError("need at least one sample index")
@@ -496,8 +496,8 @@ def run_runtime_scaling(
     scale); they default to a normalized exponential profile and Gaussian
     noise. The mixture is scaled to ``config.snr_db``."""
     multipliers = [int(s) for s in multipliers]
-    if len(multipliers) < 3:
-        raise ConfigError("need at least 3 sizes for a scaling fit")
+    if len(set(multipliers)) < 3 or min(multipliers) < 1:
+        raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     hyp = HypothesisSet(d_min, d_max)

@@ -123,30 +123,36 @@ def qam_constellation(mod_order: int) -> np.ndarray:
 
 
 def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
-    """Write the data samples of ``len(rngs)`` blocks into ``out``.
+    """Write the data samples of blocks into the rows of ``out``.
 
     ``out`` has one row of ``n_data`` samples per block (the last axis must
-    be contiguous, e.g. the data columns of a zeroed frame), and row ``r``
-    takes all of its draws from ``rngs[r]`` in order. QAM rows are gathered
-    from the constellation and sent through one inverse DFT over all rows;
-    Gaussian-source rows draw unit normal I/Q pairs in place. One scaling
-    pass gives every sample expected power signal_power / n_tx (the total
-    transmit power is held constant as antennas are added).
+    be contiguous, e.g. the data columns of a zeroed frame). Its rows are
+    split evenly among ``rngs`` in order, and each generator draws its rows
+    one after another, so k rows from one generator equal k one-row calls
+    on it. QAM rows are gathered from the constellation and sent through
+    one inverse DFT over all rows; Gaussian-source rows draw unit normal I/Q
+    pairs in place (one generator's rows must then be contiguous together).
+    One scaling pass gives every sample expected power signal_power / n_tx
+    (the total transmit power is held constant as antennas are added; pass
+    ``n_tx=1`` for one antenna at full power).
     """
     per_antenna = config.signal_power / config.n_tx
     if config.gaussian_source:
-        for row, rng in zip(out, rngs):
-            rng.standard_normal(out=row.view(np.float64))
+        for rows, rng in zip(np.split(out, len(rngs)), rngs):
+            rng.standard_normal(out=rows.view(np.float64))
         out *= np.sqrt(per_antenna / 2.0)
     else:
-        indices = np.array(
-            [rng.integers(0, config.mod_order, size=config.n_data) for rng in rngs]
-        )
-        symbols = qam_constellation(config.mod_order)[indices]
+        size = (len(out) // len(rngs), config.n_data)
+        draws = [rng.integers(0, config.mod_order, size=size) for rng in rngs]
+        # a lone generator's indices are gathered uncopied, and none outlive
+        # the gather: at large batches either would cost time or peak memory
+        symbols = qam_constellation(config.mod_order)[
+            draws[0] if len(draws) == 1 else np.concatenate(draws)
+        ]
+        del draws
         # unitary inverse DFT: per-block time-domain energy equals symbol energy
-        np.multiply(
-            np.fft.ifft(symbols, axis=-1), np.sqrt(config.n_data * per_antenna), out=out
-        )
+        np.fft.ifft(symbols, axis=-1, out=out)
+        out *= np.sqrt(config.n_data * per_antenna)
 
 
 def generate_block(

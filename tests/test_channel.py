@@ -129,9 +129,8 @@ MIXTURES = (NoiseMixture.gaussian(0.7), NoiseMixture.impulsive(0.9, 1.0, 100.0),
 
 @pytest.mark.parametrize("mixture", MIXTURES, ids=["gaussian", "impulsive", "three"])
 def test_draw_noise_matches_explicit_draws(mixture):
-    # the substream gives one uniform per sample, then the I/Q normals; a
-    # single component skips the uniforms by advancing the generator, which
-    # must leave the normals where drawing and discarding them would
+    # the generator gives one uniform per sample, then the I/Q normals; a
+    # single component draws the uniforms too and ignores them
     count = 301
     rng = np.random.default_rng(2024)
     uniforms = rng.random(count)
@@ -145,6 +144,20 @@ def test_draw_noise_matches_explicit_draws(mixture):
     samples, got = draw_noise(mixture, count, np.random.default_rng(2024), return_components=True)
     np.testing.assert_array_equal(samples, expected)
     np.testing.assert_array_equal(got, which)
+
+
+@pytest.mark.parametrize("mixture", MIXTURES, ids=["gaussian", "impulsive", "three"])
+def test_draw_noise_keeps_held_back_integer_half(mixture):
+    # an odd count of small integers leaves half of a 64-bit output held back
+    # for the next integer draw; skipping the uniforms by advance would drop it
+    explicit = np.random.default_rng(7)
+    explicit.integers(0, 4, size=3)
+    explicit.random(50)
+    explicit.standard_normal(100)
+    rng = np.random.default_rng(7)
+    rng.integers(0, 4, size=3)
+    draw_noise(mixture, 50, rng)
+    np.testing.assert_array_equal(rng.integers(0, 4, size=5), explicit.integers(0, 4, size=5))
 
 
 class TestSubstream:

@@ -275,6 +275,18 @@ def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("sizes", ["1,1,1", "1,2,2", "0,1,2"])
+def test_profile_needs_three_distinct_sizes(tmp_path, capsys, sizes):
+    # a log-log slope fitted on fewer than 3 distinct window lengths means nothing
+    out = tmp_path / "o"
+    argv = ["profile", "--preset", "fig2", "--sizes", sizes, "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "distinct sizes >= 1" in captured.err
+    assert "slope" not in captured.out
+    assert not (out / "scaling.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,10 +1,20 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zpsync import ConfigError, DelayProfile, NoiseMixture, SystemConfig, harness
+from zpsync import (
+    ConfigError,
+    DelayProfile,
+    NoiseMixture,
+    SystemConfig,
+    harness,
+    qam_constellation,
+)
 from zpsync.harness import (
     ExperimentSpec,
     histogram_to_csv,
@@ -233,6 +243,18 @@ class TestMomentValidation:
         with pytest.raises(ConfigError, match="trials"):
             run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=trials)
 
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_empty_batch_rejected(self, batch, monkeypatch):
+        # a batch of 0 used to loop forever; fail instead of hanging if it regresses
+        def sampler(*args):
+            raise AssertionError("sampler reached with an empty batch")
+
+        monkeypatch.setattr(harness, "_batch_received_samples", sampler)
+        with pytest.raises(ConfigError, match="batch"):
+            run_moment_validation(
+                SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=10, batch=batch
+            )
+
     def test_index_bounds_checked(self):
         with pytest.raises(ConfigError):
             run_moment_validation(
@@ -252,6 +274,93 @@ class TestMomentValidation:
         u = np.repeat(SMALL_PROFILE.powers[:2] / 4, 2)
         predicted = 3 + 6 * np.sum(u**2) / np.sum(u) ** 2
         assert row.kurtosis == pytest.approx(predicted, rel=0.05)
+
+
+def reference_batch_received_samples(config, profile, scaled, ks, batch, rng):
+    """The moment sampler as it was before it drew through the window
+    generator's helpers: its own copy of the QAM/IDFT data (one antenna at
+    full power), the Rayleigh taps and the mixture noise."""
+    n_x = config.n_data
+    if config.gaussian_source:
+        s = rng.standard_normal((batch, 2 * n_x)).view(np.complex128)
+        s *= np.sqrt(config.signal_power / 2.0)
+    else:
+        points = qam_constellation(config.mod_order)
+        symbols = points[rng.integers(0, config.mod_order, size=(batch, n_x))]
+        s = np.fft.ifft(symbols, axis=1) * np.sqrt(n_x * config.signal_power)
+    taps = rng.standard_normal((batch, config.n_taps, 2)) @ np.array([1.0, 1.0j])
+    taps *= np.sqrt(profile.powers / 2.0)
+    out = np.empty((batch, ks.size), dtype=np.complex128)
+    for col, k in enumerate(ks):
+        acc = np.zeros(batch, dtype=np.complex128)
+        for u in range(config.n_taps):
+            pos = k - u
+            if 0 <= pos < n_x:
+                acc += taps[:, u] * s[:, pos]
+        out[:, col] = acc
+    comp = np.searchsorted(np.cumsum(scaled.probs), rng.random((batch, ks.size)), side="right")
+    comp = np.minimum(comp, scaled.n_components - 1)
+    draw = rng.standard_normal((batch, ks.size, 2)) @ np.array([1.0, 1.0j])
+    out += draw * np.sqrt(scaled.variances[comp] / 2.0)
+    return out
+
+
+@st.composite
+def moment_cases(draw):
+    """A small link with QAM 4/16/128 or the Gaussian source, 1 or 2 tx
+    antennas, any (also odd) n_data, 1 or 2 noise components, master seeds
+    past 2**32 and batch sizes that need not divide the trial count."""
+    n_taps = draw(st.integers(1, 6))
+    config = SystemConfig(
+        n_data=draw(st.integers(1, 70)),
+        n_zero=draw(st.integers(n_taps, n_taps + 4)),
+        n_taps=n_taps,
+        n_blocks=1,
+        n_tx=draw(st.sampled_from([1, 2])),
+        mod_order=draw(st.sampled_from([4, 16, 128])),
+        signal_power=draw(st.sampled_from([1.0, 2.5])),
+        gaussian_source=draw(st.booleans()),
+    )
+    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), n_taps)
+    mixture = draw(st.sampled_from([NoiseMixture.gaussian(), IMPULSIVE]))
+    ks = draw(st.lists(st.integers(0, config.block_len - 1), min_size=1, max_size=4, unique=True))
+    trials = draw(st.integers(2, 300))
+    seed = draw(st.sampled_from([0, 5, 2**32 - 1, 2**40 + 3]))
+    batch = draw(st.integers(1, 400))
+    return config, profile, mixture, ks, trials, seed, batch
+
+
+class TestMomentSamplerBitExact:
+    """Drawing through the window generator's helpers reproduces the
+    sampler's former private model bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(moment_cases())
+    @example(  # table1 dimensions
+        (SystemConfig(n_blocks=1), DelayProfile.exponential(1.0, 0.05, 10, normalized=True),
+         NoiseMixture.gaussian(), [1, 150], 50, 0, 20)
+    )
+    @example(  # odd n_data * batch leaves a held-back integer half between batches
+        (dataclasses.replace(SMALL, n_data=33), SMALL_PROFILE, NoiseMixture.gaussian(),
+         [0, 7, 40], 20, 2**40 + 3, 7)
+    )
+    def test_equals_reference_sampler(self, case):
+        config, profile, mixture, ks, trials, seed, batch = case
+        args = (config, profile, mixture, 12.0, ks, trials, seed, batch)
+        report = run_moment_validation(*args)
+        with mock.patch.object(
+            harness, "_batch_received_samples", reference_batch_received_samples
+        ):
+            ref = run_moment_validation(*args)
+        assert report.rows == ref.rows
+        assert (report.trials, report.snr_db, report.master_seed) == (
+            ref.trials, ref.snr_db, ref.master_seed
+        )
+        assert report.histograms.keys() == ref.histograms.keys()
+        for k, hist in ref.histograms.items():
+            assert report.histograms[k].keys() == hist.keys()
+            for name, values in hist.items():
+                np.testing.assert_array_equal(report.histograms[k][name], values)
 
 
 class TestPdpSensitivity:
@@ -296,6 +405,11 @@ class TestRuntimeScaling:
     def test_needs_three_sizes(self):
         with pytest.raises(ConfigError):
             run_runtime_scaling(SMALL, [1, 2], trials=3)
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1], [1, 2, 2, 1], [0, 1, 2], [-1, 1, 2]])
+    def test_needs_three_distinct_sizes_of_at_least_one(self, sizes):
+        with pytest.raises(ConfigError, match="distinct sizes >= 1"):
+            run_runtime_scaling(SMALL, sizes, trials=3)
 
     def test_caller_link_reaches_estimator(self, monkeypatch):
         seen = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zpsync import ConfigError, SystemConfig, generate_block, generate_frame, qam_constellation
-from zpsync.waveform import read_iq_f64, write_iq_f64
+from zpsync.waveform import draw_block_data, read_iq_f64, write_iq_f64
 
 
 class TestSystemConfig:
@@ -103,6 +103,44 @@ class TestGenerateBlock:
         data = generate_block(paper_config, 0, 0, rng).samples[:512]
         rho = np.abs(np.vdot(data[:-1], data[1:])) / np.vdot(data, data).real
         assert rho < 4 / np.sqrt(512)
+
+
+class TestDrawBlockData:
+    """Rows are split evenly among the generators, each drawing its rows in turn."""
+
+    @pytest.mark.parametrize("gaussian_source", [False, True])
+    def test_rows_from_one_generator_equal_one_row_calls(self, gaussian_source):
+        cfg = SystemConfig(
+            n_data=37, n_zero=8, n_taps=4, mod_order=16, gaussian_source=gaussian_source
+        )
+        many = np.empty((5, 37), dtype=np.complex128)
+        draw_block_data(cfg, [np.random.default_rng(41)], many)
+        rng = np.random.default_rng(41)
+        one = np.empty_like(many)
+        for row in one:
+            draw_block_data(cfg, [rng], row[None])
+        np.testing.assert_array_equal(many, one)
+
+    @pytest.mark.parametrize("gaussian_source", [False, True])
+    def test_rows_split_evenly_among_generators(self, gaussian_source):
+        cfg = SystemConfig(
+            n_data=16, n_zero=4, n_taps=2, n_tx=2, mod_order=4, gaussian_source=gaussian_source
+        )
+        out = np.empty((6, 16), dtype=np.complex128)
+        draw_block_data(cfg, [np.random.default_rng(s) for s in (1, 2, 3)], out)
+        for g, seed in enumerate((1, 2, 3)):
+            alone = np.empty((2, 16), dtype=np.complex128)
+            draw_block_data(cfg, [np.random.default_rng(seed)], alone)
+            np.testing.assert_array_equal(out[2 * g : 2 * g + 2], alone)
+
+    @pytest.mark.parametrize("gaussian_source", [False, True])
+    def test_uneven_split_rejected(self, gaussian_source):
+        cfg = SystemConfig(
+            n_data=8, n_zero=4, n_taps=2, mod_order=4, gaussian_source=gaussian_source
+        )
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        with pytest.raises(ValueError):
+            draw_block_data(cfg, rngs, np.empty((5, 8), dtype=np.complex128))
 
 
 class TestGenerateFrame:
