@@ -13,6 +13,17 @@ once per call, after which each hypothesis costs O(runs per block) lookups.
 ED sums prefix-sum differences over its zero-tail spans. A prefix sum
 carries one non-finite sample into every later segment, so non-finite input
 is rejected up front.
+
+A-ML splits the profile's variance classes by how many window cells their
+runs can reach. Under n_d hypotheses a run of L samples reaches
+L + n_d - 1 positions per period. A class that reaches at least a window's
+worth (a long plateau, or every class once n_d nears the block length) is
+dense: it gets a row of the per-sample likelihood table, whose prefix sums
+are folded over the periods. Under mixture noise every other class is
+sparse: its log densities are evaluated on the reachable cells alone and
+each hypothesis takes a sliding sum over them. At the paper's sizes this
+leaves one dense row of twenty. Single-component noise keeps every class
+dense.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceivedWindow
-from .likelihood import NoiseMixture, VarianceProfile, loglik_class_table
+from .likelihood import NoiseMixture, VarianceProfile, loglik_cells, loglik_class_table
 from .waveform import ConfigError
 
 
@@ -74,6 +85,12 @@ def _run_offsets(vp: VarianceProfile, hyp: HypothesisSet) -> tuple[np.ndarray, n
     return offsets[:, :-1], offsets[:, 1:]
 
 
+def _period_count(m: int, n_s: int, d_max: int) -> int:
+    """Periods of the stream that some hypothesis up to ``d_max`` reads in a
+    window of ``m`` samples: later periods start past every last sample."""
+    return max(1, -(-(d_max + m) // n_s))
+
+
 def _fold_periods(prefix: np.ndarray, n_s: int, d_max: int) -> np.ndarray:
     """Window prefix sums added up over the periods of the stream.
 
@@ -87,8 +104,7 @@ def _fold_periods(prefix: np.ndarray, n_s: int, d_max: int) -> np.ndarray:
     in every period at once, clipped to the window.
     """
     m = prefix.shape[-1] - 1
-    # periods past every hypothesis's last sample add nothing
-    n_periods = max(1, -(-(d_max + m) // n_s))
+    n_periods = _period_count(m, n_s, d_max)
     r = np.arange(n_s)
     buf = np.empty(prefix.shape[:-1] + (n_s,))
 
@@ -132,21 +148,117 @@ def aml_estimate(
     hyp.validate_against(vp.block_len)
     _check_finite(window)
     m = window.length
-    # prefix[:, k] is the log-likelihood of the first k samples per class. A
-    # dummy leading sample with its column zeroed lets the cumulative sum run
-    # in place: a second table-sized array per call makes long windows pay
-    # page faults, which bends the linear runtime scaling (C10).
-    padded = np.concatenate([np.zeros((window.samples.shape[0], 1)), window.samples], axis=1)
-    prefix = loglik_class_table(padded, vp, mixture)
+    n_periods = _period_count(m, vp.block_len, hyp.d_max)
+    dense, sparse = _split_classes(vp, mixture, hyp, m, n_periods)
+    scores = np.zeros(hyp.size)
+    # one helper per kind, so that each one's buffers are freed before the
+    # other allocates its own
+    if dense.any():
+        scores += _dense_run_scores(window.samples, vp, mixture, hyp, dense)
+    if sparse.any():
+        scores += _sparse_run_scores(window.samples, vp, mixture, hyp, sparse, n_periods)
+    return _decide(scores, hyp, maximize=True, tag="aml")
+
+
+def _split_classes(
+    vp: VarianceProfile, mixture: NoiseMixture, hyp: HypothesisSet, m: int, n_periods: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which variance classes are scored from a dense table row and which
+    from their reachable cells alone: ``(dense, sparse)``, boolean per class.
+
+    A run of length L read by n_d hypotheses reaches L + n_d - 1 window
+    positions per period. A class whose runs reach at least m cells in all,
+    about a table row's worth, takes a row; a class that reaches fewer, but
+    some, is sparse. Class 0 also counts the samples below stream index 0
+    that hypotheses d < 0 read. Single-component noise keeps every row: its
+    cells cost three flops, so the gather would not pay.
+    """
+    n_classes = vp.class_values.size
+    if mixture.n_components == 1:
+        return np.ones(n_classes, dtype=bool), np.zeros(n_classes, dtype=bool)
+    cells = np.bincount(
+        vp.run_class, weights=np.diff(vp.run_edges) + hyp.size - 1, minlength=n_classes
+    ) * n_periods
+    if hyp.d_min < 0:
+        cells[0] += hyp.size - 1 - hyp.d_min
+    dense = cells >= m
+    return dense, ~dense & (cells > 0)
+
+
+def _dense_run_scores(
+    samples: np.ndarray,
+    vp: VarianceProfile,
+    mixture: NoiseMixture,
+    hyp: HypothesisSet,
+    dense: np.ndarray,
+) -> np.ndarray:
+    """Score terms of the runs of the ``dense`` classes, from per-class
+    prefix sums of the likelihood table folded over the periods."""
+    m = samples.shape[-1]
+    # prefix[:, k] is the log-likelihood of the first k samples per dense
+    # class. A dummy leading sample with its column zeroed lets the
+    # cumulative sum run in place: a second table-sized array per call makes
+    # long windows pay page faults, which bends the linear runtime scaling
+    # (C10).
+    padded = np.concatenate([np.zeros((samples.shape[0], 1)), samples], axis=1)
+    prefix = loglik_class_table(padded, vp, mixture, np.flatnonzero(dense))
     prefix[:, 0] = 0.0
     np.cumsum(prefix, axis=1, out=prefix)
     folded = _fold_periods(prefix, vp.block_len, hyp.d_max)
+    runs = dense[vp.run_class]
+    rows = (np.cumsum(dense) - 1)[vp.run_class[runs]]
     lo, hi = _run_offsets(vp, hyp)
-    scores = (folded[vp.run_class, hi] - folded[vp.run_class, lo]).sum(axis=1)
-    if hyp.d_min < 0:
+    scores = (folded[rows, hi[:, runs]] - folded[rows, lo[:, runs]]).sum(axis=1)
+    if hyp.d_min < 0 and dense[0]:
         # stream indices below 0 are class 0: the first -d samples when d < 0
         scores += prefix[0, np.clip(-hyp.values, 0, m)]
-    return _decide(scores, hyp, maximize=True, tag="aml")
+    return scores
+
+
+def _sparse_run_scores(
+    samples: np.ndarray,
+    vp: VarianceProfile,
+    mixture: NoiseMixture,
+    hyp: HypothesisSet,
+    sparse: np.ndarray,
+    n_periods: int,
+) -> np.ndarray:
+    """Score terms of the runs of the ``sparse`` classes, from their
+    reachable cells alone.
+
+    Run j spans ``[b_j, e_j)`` of a period, L_j = e_j - b_j samples. Cell i
+    of the run stands for period position ``b_j - d_max + i``, for i below
+    L_j + n_d - 1, and hypothesis d reads cells ``d_max - d`` up to
+    ``d_max - d + L_j - 1``. The cells are gathered in every period in one
+    call, zeroed outside the window and added up over the periods; a length-L_j
+    sliding sum, as a difference of one prefix sum over every run's cells,
+    then gives each hypothesis's term. Class 0's stretch below stream index
+    0 is one more run, from ``d_min`` to 0, in the first period only.
+    """
+    m = samples.shape[-1]
+    runs = sparse[vp.run_class]
+    b = vp.run_edges[:-1][runs]
+    e = vp.run_edges[1:][runs]
+    run_class = vp.run_class[runs]
+    below_zero = hyp.d_min < 0 and sparse[0]
+    if below_zero:
+        b = np.append(b, hyp.d_min)
+        e = np.append(e, 0)
+        run_class = np.append(run_class, 0)
+    lengths = e - b
+    widths = lengths + hyp.size - 1
+    starts = np.cumsum(widths) - widths
+    base = np.repeat(b - hyp.d_max - starts, widths) + np.arange(widths.sum())
+    positions = np.arange(n_periods)[:, None] * vp.block_len + base
+    outside = (positions < 0) | (positions >= m)
+    if below_zero:
+        outside[1:, starts[-1] :] = True
+    np.clip(positions, 0, m - 1, out=positions)
+    cells = loglik_cells(samples, positions, np.repeat(run_class, widths), vp, mixture)
+    np.copyto(cells, 0.0, where=outside)
+    csum = np.concatenate([[0.0], np.cumsum(cells.sum(axis=0))])
+    first = starts + (hyp.d_max - hyp.values)[:, None]
+    return (csum[first + lengths] - csum[first]).sum(axis=1)
 
 
 def wed_estimate(

@@ -401,6 +401,8 @@ def run_moment_validation(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if trials < 2:
+        raise ConfigError("moment validation needs at least 2 trials: one sample has no spread")
     if batch < 1:
         raise ConfigError("batch must be >= 1")
     ks = np.asarray(list(sample_indices), dtype=int)
@@ -430,6 +432,11 @@ def run_moment_validation(
         m2 = float(np.mean(centered**2))
         m3 = float(np.mean(centered**3))
         m4 = float(np.mean(centered**4))
+        if m2 == 0.0:
+            raise ConfigError(
+                f"received samples at k={int(k)} have zero variance: "
+                "skewness and kurtosis are undefined"
+            )
         analytic_var = float(
             np.dot(scaled.probs, vp.body[k] + scaled.variances / 2.0)
         )
@@ -494,7 +501,8 @@ def run_runtime_scaling(
 
     ``profile`` and ``mixture`` describe the link (the tap count does not
     scale); they default to a normalized exponential profile and Gaussian
-    noise. The mixture is scaled to ``config.snr_db``."""
+    noise. The mixture is scaled to ``config.snr_db``. The sizes take turns
+    within each trial; each size keeps its own window seeds."""
     multipliers = [int(s) for s in multipliers]
     if len(set(multipliers)) < 3 or min(multipliers) < 1:
         raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
@@ -506,14 +514,18 @@ def run_runtime_scaling(
     if mixture is None:
         mixture = NoiseMixture.gaussian()
     scaled = scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
-    rows = []
-    for s in multipliers:
-        cfg = dataclasses.replace(config, n_data=config.n_data * s, n_zero=config.n_zero * s)
-        vp = variance_profile_h0(cfg, profile)
-        aml_ns = []
-        ed_ns = []
-        warmup = 3
-        for t in range(trials + warmup):
+    configs = [
+        dataclasses.replace(config, n_data=config.n_data * s, n_zero=config.n_zero * s)
+        for s in multipliers
+    ]
+    profiles = [variance_profile_h0(cfg, profile) for cfg in configs]
+    aml_ns = [[] for _ in multipliers]
+    ed_ns = [[] for _ in multipliers]
+    warmup = 3
+    # every trial times each size in turn, so a burst of host load or a
+    # warm-up effect falls on all sizes alike instead of on one size's run
+    for t in range(trials + warmup):
+        for i, (s, cfg, vp) in enumerate(zip(multipliers, configs, profiles)):
             window = assemble_window(
                 cfg, profile, scaled, d_true=0, seed=(master_seed, s, t), d_pad=0
             )
@@ -523,18 +535,19 @@ def run_runtime_scaling(
             ed_estimate(window, hyp)
             t2 = time.perf_counter_ns()
             if t >= warmup:  # early calls warm caches and are discarded
-                aml_ns.append(t1 - t0)
-                ed_ns.append(t2 - t1)
-        rows.append(
-            RuntimeScalingRow(
-                multiplier=s,
-                window_len=cfg.window_len,
-                aml_mean_ns=float(np.mean(aml_ns)),
-                ed_mean_ns=float(np.mean(ed_ns)),
-                aml_min_ns=float(np.min(aml_ns)),
-                ed_min_ns=float(np.min(ed_ns)),
-            )
+                aml_ns[i].append(t1 - t0)
+                ed_ns[i].append(t2 - t1)
+    rows = [
+        RuntimeScalingRow(
+            multiplier=s,
+            window_len=cfg.window_len,
+            aml_mean_ns=float(np.mean(aml)),
+            ed_mean_ns=float(np.mean(ed)),
+            aml_min_ns=float(np.min(aml)),
+            ed_min_ns=float(np.min(ed)),
         )
+        for s, cfg, aml, ed in zip(multipliers, configs, aml_ns, ed_ns)
+    ]
     x = np.log([r.window_len for r in rows])
     y = np.log([r.aml_min_ns for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])

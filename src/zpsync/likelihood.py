@@ -171,42 +171,47 @@ _GROUP_ELEMENTS = 1 << 16
 
 
 def loglik_class_table(
-    y: np.ndarray, vp: VarianceProfile, mixture: NoiseMixture
+    y: np.ndarray,
+    vp: VarianceProfile,
+    mixture: NoiseMixture,
+    classes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-sample log densities against every distinct profile variance.
+    """Per-sample log densities against distinct profile variances.
 
     Returns (n_classes, m): row c holds log p(y[k] | variance class c) summed
-    over antennas. The estimator scores every hypothesis from per-class
-    prefix sums of this table over the profile's constant-class runs, so the
-    transcendentals are paid once per window, not once per hypothesis.
+    over antennas. ``classes`` selects a subset of class ids, in the order
+    given, and row i is then class ``classes[i]``; by default every class of
+    ``vp`` gets a row. The A-ML estimator scores every hypothesis from
+    per-class prefix sums of this table over the profile's long
+    constant-class runs, so the transcendentals are paid once per window,
+    not once per hypothesis; classes whose runs reach few cells go through
+    :func:`loglik_cells` instead.
 
     Works with in-place ufuncs on small scratch buffers: the only large
     allocation is the table itself, which keeps long-window timing free of
     allocator noise. Mixtures go class by class on window-sized buffers;
     single-component noise groups classes on short windows (see
-    :func:`_single_component_table`).
+    :func:`_single_component_table`). A row's cells do not depend on which
+    other classes are selected.
 
     Mixture components are folded in with the max-shifted log-sum-exp
     ``max(a, b) + log1p(exp(-|a - b|))``, the formula ``np.logaddexp``
-    evaluates, written out in ufuncs. On numpy 2.4 (x86-64) ``np.logaddexp``
-    is a scalar libm loop at about 40 ns per element, against 1.2 and 2.6 ns
-    for the vectorised ``exp`` and ``log1p``, and it took most of the
-    table's time under impulsive noise. ``log_b_function`` keeps
-    ``np.logaddexp`` as the reference.
+    evaluates, written out in ufuncs (:func:`_fold_components`). On numpy
+    2.4 (x86-64) ``np.logaddexp`` is a scalar libm loop at about 40 ns per
+    element, against 1.2 and 2.6 ns for the vectorised ``exp`` and
+    ``log1p``, and it took most of the table's time under impulsive noise.
+    ``log_b_function`` keeps ``np.logaddexp`` as the reference.
     """
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.complex128)
-    values = vp.class_values
+    values = vp.class_values if classes is None else vp.class_values[classes]
     n_rx, m = y.shape
     # I and Q interleaved: one ufunc call covers both parts of every antenna
     z2 = np.square(y.view(np.float64))
-    var = values[:, None] + mixture.variances / 2.0
-    scales = -0.5 / var
-    offsets = np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var)
+    scales, offsets = _component_constants(values, mixture)
     if mixture.n_components == 1:
         return _single_component_table(z2, scales, offsets)
     acc = np.empty_like(z2)
-    term = np.empty_like(z2)
-    gap = np.empty_like(z2)
+    scratch = (np.empty_like(z2), np.empty_like(z2))
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     table = np.empty((values.size, m))
@@ -214,22 +219,87 @@ def loglik_class_table(
     # arithmetic inside the loop would add a fixed cost per call that is a
     # large share of a short window
     for t_row, scale, offset in zip(table, scales.tolist(), offsets.tolist()):
-        np.multiply(z2, scale[0], out=acc)
-        acc += offset[0]
-        for s, o in zip(scale[1:], offset[1:]):
-            np.multiply(z2, s, out=term)
-            term += o
-            # gap = min - max = -|acc - term|, exactly
-            np.minimum(acc, term, out=gap)
-            np.maximum(acc, term, out=acc)
-            gap -= acc
-            np.exp(gap, out=gap)
-            np.log1p(gap, out=gap)
-            acc += gap
+        _fold_components(z2, scale, offset, acc, *scratch)
         np.add(parts[0], parts[1], out=t_row)
         for part in parts[2:]:
             t_row += part
     return table
+
+
+def loglik_cells(
+    y: np.ndarray,
+    positions: np.ndarray,
+    cell_class: np.ndarray,
+    vp: VarianceProfile,
+    mixture: NoiseMixture,
+) -> np.ndarray:
+    """Log densities at gathered window positions, one variance class per column.
+
+    ``positions`` is (..., n_cells) of sample indices into ``y``'s last axis
+    and ``cell_class`` (n_cells,) the class id of each column. Returns an
+    array shaped like ``positions`` whose cell holds
+    log p(y[:, positions[..., i]] | class cell_class[i]) summed over
+    antennas. The components are folded as in :func:`loglik_class_table`,
+    with each column's constants broadcast along the leading axes; the
+    scratch buffers are the size of the gather, not of the window.
+    """
+    y = np.atleast_2d(y)
+    n_rx = y.shape[0]
+    n_cells = positions.shape[-1]
+    # I and Q interleaved, (n_rx, ..., 2 * n_cells)
+    z2 = np.take(y, positions, axis=1).astype(np.complex128, copy=False).view(np.float64)
+    np.square(z2, out=z2)
+    scales, offsets = _component_constants(vp.class_values, mixture)
+    # (n_components, 2 * n_cells): each column's constants, for I and Q
+    scales = np.repeat(scales[cell_class].T, 2, axis=1)
+    offsets = np.repeat(offsets[cell_class].T, 2, axis=1)
+    acc = np.empty_like(z2)
+    if mixture.n_components == 1:
+        _fold_components(z2, scales, offsets, acc)
+    else:
+        # the gather is private and the last term is its last reader, so with
+        # two components that term overwrites it: one buffer fewer
+        term = z2 if mixture.n_components == 2 else np.empty_like(z2)
+        _fold_components(z2, scales, offsets, acc, term, np.empty_like(z2))
+    # the parts in the order their terms are summed: antenna by antenna, I then Q
+    parts = acc.reshape(acc.shape[:-1] + (n_cells, 2))
+    out = np.add(parts[0, ..., 0], parts[0, ..., 1])
+    for r in range(1, n_rx):
+        out += parts[r, ..., 0]
+        out += parts[r, ..., 1]
+    return out
+
+
+def _component_constants(values: np.ndarray, mixture: NoiseMixture):
+    """Per (class, component) terms of the log density of one I/Q part:
+    ``log N(z; 0, var) = scale * z**2 + offset`` with var the class value
+    plus half the component's noise variance. Both (n_values, n_components)."""
+    var = values[:, None] + mixture.variances / 2.0
+    scales = -0.5 / var
+    offsets = np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var)
+    return scales, offsets
+
+
+def _fold_components(z2, scales, offsets, acc, term=None, gap=None) -> None:
+    """``acc = log sum_l exp(scales[l] * z2 + offsets[l])``, in place.
+
+    ``scales[l]`` and ``offsets[l]`` are floats or arrays that broadcast
+    against ``z2``; ``term`` and ``gap`` are scratch buffers shaped like
+    ``z2``, needed only for more than one component. With two components
+    ``term`` may be ``z2`` itself, which the second term reads last.
+    """
+    np.multiply(z2, scales[0], out=acc)
+    acc += offsets[0]
+    for s, o in zip(scales[1:], offsets[1:]):
+        np.multiply(z2, s, out=term)
+        term += o
+        # gap = min - max = -|acc - term|, exactly
+        np.minimum(acc, term, out=gap)
+        np.maximum(acc, term, out=acc)
+        gap -= acc
+        np.exp(gap, out=gap)
+        np.log1p(gap, out=gap)
+        acc += gap
 
 
 def _single_component_table(

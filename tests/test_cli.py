@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,28 @@ def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_validate_pdf_single_trial_exits_2(tmp_path, capsys):
+    # used to die with a ZeroDivisionError traceback and exit 1
+    out = tmp_path / "o"
+    argv = ["validate-pdf", "--preset", "table1", "--k", "1", "--trials", "1"]
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_python_m_zpsync_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["validate-pdf", "--preset", "table1", "--k", "1", "--trials", "50",
+            "--seed", "1", "--out", str(tmp_path / "o")]
+    done = subprocess.run(
+        [sys.executable, "-m", "zpsync", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "moments.csv").is_file()
 
 
 @pytest.mark.parametrize("sizes", ["1,1,1", "1,2,2", "0,1,2"])

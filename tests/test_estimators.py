@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from zpsync import (
@@ -19,6 +19,7 @@ from zpsync import (
     wed_estimate,
     window_loglik,
 )
+from zpsync import estimators, presets
 from zpsync.channel import ChannelRealization, ReceivedWindow, convolve_frame, draw_channel, substream
 from zpsync.likelihood import VarianceProfile
 from zpsync.waveform import generate_block
@@ -249,24 +250,33 @@ class TestAllEstimatorsHighSnr:
 
 @st.composite
 def kernel_cases(draw):
-    """A small link, a hypothesis set anywhere in (-block_len, block_len) and
-    a window generated at an offset inside it, cut to any length."""
+    """A small link observed over up to 8 blocks under a mixture of 1-3
+    components, a hypothesis set anywhere in (-block_len, block_len) and a
+    window generated at an offset inside it, cut to any length."""
     n_taps = draw(st.integers(1, 5))
     cfg = SystemConfig(
         n_data=draw(st.integers(1, 24)),
         n_zero=draw(st.integers(n_taps, n_taps + 6)),
         n_taps=n_taps,
-        n_blocks=draw(st.integers(1, 3)),
+        n_blocks=draw(st.integers(1, 8)),
         n_rx=draw(st.sampled_from([1, 2])),
         mod_order=4,
         snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])),
     )
     n_s = cfg.block_len
     d_min = draw(st.integers(-(n_s - 1), n_s - 1))
-    d_max = draw(st.integers(d_min, n_s - 1))
+    # few hypotheses half of the time: short runs then reach few cells
+    n_d = draw(st.one_of(st.integers(1, 3), st.integers(1, n_s - d_min)))
+    d_max = min(d_min + n_d - 1, n_s - 1)
     d_true = draw(st.integers(d_min, d_max))
-    base = NoiseMixture.impulsive(0.9, 1.0, 100.0) if draw(st.booleans()) else GAUSSIAN
-    mixture = scale_mixture_to_snr(base, cfg.signal_power, cfg.snr_db)
+    n_components = draw(st.integers(1, 3))
+    weights = np.array([draw(st.integers(1, 20)) for _ in range(n_components)], dtype=float)
+    variances = np.array(
+        [draw(st.sampled_from([0.5, 1.0, 10.0, 100.0])) for _ in range(n_components)]
+    )
+    mixture = scale_mixture_to_snr(
+        NoiseMixture(weights / weights.sum(), variances), cfg.signal_power, cfg.snr_db
+    )
     profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), n_taps)
     window = assemble_window(
         cfg, profile, mixture, d_true, seed=(draw(st.integers(0, 2**16)), 3),
@@ -278,6 +288,45 @@ def kernel_cases(draw):
     return window, variance_profile_h0(cfg, profile), mixture, HypothesisSet(d_min, d_max)
 
 
+class TestDenseRows:
+    """Which classes the A-ML call builds dense table rows for."""
+
+    @staticmethod
+    def rows_built(monkeypatch, preset_overrides, d_min, d_max):
+        settings_ = presets.merge_settings(presets.load_preset("fig5"), preset_overrides)
+        cfg = presets.config_from_settings(settings_)
+        profile = presets.profile_from_settings(settings_, cfg.n_taps)
+        mixture = scale_mixture_to_snr(
+            presets.mixture_from_settings(settings_), cfg.signal_power, 5.0
+        )
+        vp = variance_profile_h0(cfg, profile)
+        window = assemble_window(cfg, profile, mixture, 0, seed=(3, 0), d_pad=max(0, -d_min))
+        built = []
+
+        def spy(*args):
+            table = real(*args)
+            built.append(table.shape[0])
+            return table
+
+        real = estimators.loglik_class_table
+        monkeypatch.setattr(estimators, "loglik_class_table", spy)
+        aml_estimate(window, vp, mixture, HypothesisSet(d_min, d_max))
+        return sum(built), vp.class_values.size
+
+    def test_fig5_impulsive_builds_fewer_rows_than_classes(self, monkeypatch):
+        rows, n_classes = self.rows_built(monkeypatch, {}, -30, 30)
+        # only the plateau's class reaches a window's worth of cells
+        assert (rows, n_classes) == (1, 20)
+
+    def test_full_range_builds_every_row(self, monkeypatch):
+        rows, n_classes = self.rows_built(monkeypatch, {}, 0, 531)
+        assert rows == n_classes
+
+    def test_gaussian_noise_builds_every_row(self, monkeypatch):
+        rows, n_classes = self.rows_built(monkeypatch, {"noise": "gaussian"}, -30, 30)
+        assert rows == n_classes
+
+
 # absolute floor for scores whose per-sample terms cancel to near zero
 SCORE_ATOL = 1e-9
 
@@ -285,10 +334,18 @@ SCORE_ATOL = 1e-9
 class TestSegmentKernel:
     """The run-based scores equal plain per-hypothesis sums over the window."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kernel_cases())
     def test_aml_scores_equal_window_loglik(self, case):
+        # long windows and few hypotheses send most classes of a mixture to
+        # the sparse cells; n_d near block_len keeps them dense
         window, vp, mixture, hyp = case
+        dense, sparse = estimators._split_classes(
+            vp, mixture, hyp, window.length,
+            estimators._period_count(window.length, vp.block_len, hyp.d_max),
+        )
+        event("sparse and dense" if sparse.any() and dense.any()
+              else "sparse only" if sparse.any() else "dense only")
         result = aml_estimate(window, vp, mixture, hyp)
         ref = [window_loglik(window.samples, int(d), vp, mixture).loglik for d in hyp.values]
         np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
@@ -305,6 +362,25 @@ class TestSegmentKernel:
             np.sum(energy / (vp.window(int(d), window.length) + noise_var / 2.0))
             for d in hyp.values
         ]
+        np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
+
+    def test_dense_rows_of_inner_classes(self, rng):
+        # the runs of two inner classes reach a window's worth of cells and
+        # take dense rows, the rest is sparse: each run must read its own
+        # class's row
+        body = np.array([0.5] + [2.0] * 40 + [1.0, 3.0] + [0.25] * 30 + [0.0] * 2)
+        vp = VarianceProfile(body)
+        mixture = NoiseMixture(np.array([0.7, 0.2, 0.1]), np.array([0.3, 3.0, 30.0]))
+        y = (rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400))) * 1.3
+        cfg = SystemConfig(n_data=60, n_zero=15, n_taps=2, n_blocks=5, n_rx=2, mod_order=4)
+        hyp = HypothesisSet(-10, 29)
+        dense, sparse = estimators._split_classes(
+            vp, mixture, hyp, 400, estimators._period_count(400, vp.block_len, hyp.d_max)
+        )
+        np.testing.assert_array_equal(np.flatnonzero(dense), [1, 4])
+        np.testing.assert_array_equal(np.flatnonzero(sparse), [0, 2, 3, 5])
+        result = aml_estimate(make_window(y, cfg), vp, mixture, hyp)
+        ref = [window_loglik(y, int(d), vp, mixture).loglik for d in hyp.values]
         np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
 
     def test_shift_consistency_at_high_snr(self, sim_profile):

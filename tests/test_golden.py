@@ -34,6 +34,32 @@ FIG5_IMPULSIVE = {
     },
 }
 
+# fig3 (impulsive, 10 dB) at two block counts: the period count the
+# estimator folds over changes with n_blocks
+FIG3_BLOCKS = {
+    2: {
+        "d_true": [-26, -7, 12, -5, -1, -14, -11, 11, 10, -25],
+        "aml": [-27, -9, 10, -5, 0, -14, -11, 11, 10, -25],
+    },
+    20: {
+        "d_true": [-26, -7, 12, -5, -1, -14, -11, 11, 10, -25],
+        "aml": [-27, -8, 11, -5, 0, -14, -11, 10, 9, -25],
+    },
+}
+
+# fig7 (impulsive) at 10 dB: every trial scores against its own perturbed
+# variance profile, whose constant-class runs differ from the true one's
+FIG7_PERTURBED = {
+    0.3: {
+        "d_true": [-26, -7, 12, -5, -1, -14, -11, 11, 10, -25],
+        "aml": [-27, -8, 11, -5, 1, -13, -11, 10, 9, -25],
+    },
+    0.7: {
+        "d_true": [-26, -7, 12, -5, -1, -14, -11, 11, 10, -25],
+        "aml": [-27, -10, 11, -6, 0, -12, -11, 10, 9, -25],
+    },
+}
+
 
 def _decisions(preset: str, overrides: dict) -> dict:
     settings = presets.merge_settings(presets.load_preset(preset), overrides)
@@ -62,3 +88,15 @@ def test_fig5_impulsive_5db(antennas):
     label = f"{antennas[0]}x{antennas[1]}"
     got = _decisions("fig5", {"values": [label], "snr_db": 5, "d_min": -30, "d_max": 30})
     assert got == {antennas: FIG5_IMPULSIVE[antennas]}
+
+
+def test_fig3_impulsive_block_counts():
+    got = _decisions("fig3", {"values": sorted(FIG3_BLOCKS)})
+    assert got == FIG3_BLOCKS
+
+
+def test_fig7_perturbed_profiles_10db():
+    got = _decisions(
+        "fig7", {"axis": "pdp_alpha", "values": sorted(FIG7_PERTURBED), "snr_db": 10}
+    )
+    assert got == FIG7_PERTURBED

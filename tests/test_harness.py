@@ -243,6 +243,19 @@ class TestMomentValidation:
         with pytest.raises(ConfigError, match="trials"):
             run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=trials)
 
+    def test_single_trial_rejected(self):
+        # one sample has a zero second moment, which the skewness divided by
+        with pytest.raises(ConfigError, match="at least 2 trials"):
+            run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=1)
+
+    def test_zero_variance_rejected(self, monkeypatch):
+        def sampler(config, profile, scaled, ks, batch, rng):
+            return np.full((batch, ks.size), 0.5 + 0.5j)
+
+        monkeypatch.setattr(harness, "_batch_received_samples", sampler)
+        with pytest.raises(ConfigError, match="zero variance"):
+            run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=10)
+
     @pytest.mark.parametrize("batch", [0, -2])
     def test_empty_batch_rejected(self, batch, monkeypatch):
         # a batch of 0 used to loop forever; fail instead of hanging if it regresses

@@ -18,7 +18,7 @@ from zpsync import (
     window_loglik,
 )
 from zpsync.channel import draw_channel, draw_noise
-from zpsync.likelihood import VarianceProfile, loglik_class_table
+from zpsync.likelihood import VarianceProfile, loglik_cells, loglik_class_table
 from zpsync.waveform import generate_block
 
 GAUSS2 = NoiseMixture.gaussian(2.0)
@@ -314,6 +314,28 @@ class TestClassTableMixture:
             expected = sum(log_p_function(y_r, kappa, mixture) for y_r in y)
             # atol only for cells whose log density is near 0
             np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestClassSubsetAndCells:
+    """A table restricted to some classes and the gathered cells of
+    ``loglik_cells`` both read the same numbers as the full table."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mixture_cases(), st.integers(0, 2**32 - 1))
+    def test_subset_rows_and_cells_match_full_table(self, case, seed):
+        vp, mixture, y = case
+        rng = np.random.default_rng(seed)
+        full = loglik_class_table(y, vp, mixture)
+        classes = np.flatnonzero(rng.random(vp.class_values.size) < 0.5)
+        np.testing.assert_array_equal(loglik_class_table(y, vp, mixture, classes), full[classes])
+        n_cells = int(rng.integers(1, 30))
+        positions = rng.integers(0, y.shape[1], size=(int(rng.integers(1, 4)), n_cells))
+        cell_class = rng.integers(0, vp.class_values.size, size=n_cells)
+        cells = loglik_cells(y, positions, cell_class, vp, mixture)
+        assert cells.shape == positions.shape
+        np.testing.assert_allclose(
+            cells, full[cell_class[None, :], positions], rtol=1e-13, atol=1e-13
+        )
 
 
 class TestSingleComponentTable:
