@@ -197,12 +197,11 @@ def _draw_unit_noise(
 
 def _scale_noise(
     mixture: NoiseMixture, samples: np.ndarray, uniforms: np.ndarray | None
-) -> np.ndarray | None:
+) -> None:
     """Scale unit noise in place so each sample is CN(0, variances[l]) for
-    its component l, chosen by ``uniforms`` (same shape as ``samples``);
-    returns the component indices, or None for a single component."""
+    its component l, chosen by ``uniforms`` (same shape as ``samples``, or
+    None for a single component)."""
     if uniforms is None:
-        which = None
         scale = np.sqrt(mixture.variances[0] / 2.0)
     else:
         which = np.searchsorted(np.cumsum(mixture.probs), uniforms, side="right")
@@ -210,27 +209,18 @@ def _scale_noise(
         scale = np.sqrt(mixture.variances / 2.0)[which]
     samples.real *= scale
     samples.imag *= scale
-    return which
 
 
-def draw_noise(
-    mixture: NoiseMixture,
-    count: int,
-    rng: np.random.Generator,
-    return_components: bool = False,
-):
+def draw_noise(mixture: NoiseMixture, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` mixture noise samples.
 
     Per sample a component l is selected with probability probs[l] and the
-    sample is CN(0, variances[l]). With ``return_components=True`` also
-    returns the selected component index per sample.
+    sample is CN(0, variances[l]).
     """
     samples = np.empty(count, dtype=np.complex128)
     uniforms = np.empty(count)  # drawn even for one component: see _draw_unit_noise
     _draw_unit_noise(rng, samples, uniforms)
-    which = _scale_noise(mixture, samples, uniforms if mixture.n_components > 1 else None)
-    if return_components:
-        return samples, np.zeros(count, dtype=np.intp) if which is None else which
+    _scale_noise(mixture, samples, uniforms if mixture.n_components > 1 else None)
     return samples
 
 

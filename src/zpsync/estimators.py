@@ -6,11 +6,14 @@ smallest offset. Scoring is pure, so per-hypothesis work may be reordered or
 parallelized without changing the result.
 
 Every score is a sum of per-sample terms over segments of the capture. The
-hypothesized variance profile is piecewise constant and periodic, so A-ML
-and WED score a hypothesis from prefix sums at the edges of its
+hypothesized variance profile is piecewise constant and periodic, so each
+estimator scores a hypothesis from prefix sums at the edges of its
 constant-class runs. The prefix sums are added up over the stream's periods
 once per call, after which each hypothesis costs O(runs per block) lookups.
-ED sums prefix-sum differences over its zero-tail spans. A prefix sum
+A-ML and WED read the runs of the variance profile and fold every period
+that some hypothesis reads in the window. ED reads one run per period, the
+zero tail taken from the config, and folds exactly n_blocks periods: it
+leaves out block n_blocks even when the window reaches into it. A prefix sum
 carries one non-finite sample into every later segment, so non-finite input
 is rejected up front.
 
@@ -77,11 +80,23 @@ def _check_finite(window: ReceivedWindow) -> None:
         raise ConfigError("window holds non-finite samples")
 
 
-def _run_offsets(vp: VarianceProfile, hyp: HypothesisSet) -> tuple[np.ndarray, np.ndarray]:
+def _energy_prefix(window: ReceivedWindow) -> np.ndarray:
+    """Prefix sums of the sample energy summed over the receive antennas:
+    entry ``k`` is the energy of the first ``k`` window samples."""
+    energy = (np.abs(window.samples) ** 2).sum(axis=0)
+    return np.concatenate([[0.0], np.cumsum(energy)])
+
+
+def _run_offsets(edges: np.ndarray, n_s: int, hyp: HypothesisSet) -> tuple[np.ndarray, np.ndarray]:
     """Columns of the ``_fold_periods`` output that bound each run of one
-    profile period under each hypothesis: ``(lo, hi)``, row ``i`` for
-    ``d = d_min + i``, column ``j`` for run ``j`` of ``vp.run_class``."""
-    offsets = (vp.run_edges + vp.block_len)[None, :] - hyp.values[:, None]
+    period under each hypothesis.
+
+    ``edges`` are the ascending run edges within a period of ``n_s``
+    samples, run ``j`` spanning ``[edges[j], edges[j + 1])``. Returns
+    ``(lo, hi)``, row ``i`` for ``d = d_min + i`` and column ``j`` for run
+    ``j``.
+    """
+    offsets = (edges + n_s)[None, :] - hyp.values[:, None]
     return offsets[:, :-1], offsets[:, 1:]
 
 
@@ -91,20 +106,21 @@ def _period_count(m: int, n_s: int, d_max: int) -> int:
     return max(1, -(-(d_max + m) // n_s))
 
 
-def _fold_periods(prefix: np.ndarray, n_s: int, d_max: int) -> np.ndarray:
-    """Window prefix sums added up over the periods of the stream.
+def _fold_periods(prefix: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
+    """Window prefix sums added up over the first ``n_periods`` periods of
+    the stream.
 
     ``prefix[..., k]`` is the sum of the first ``k`` window samples and the
     stream has period ``n_s`` from index 0 on. Returns ``out`` with
-    ``out[..., x + n_s]`` the sum over periods ``p`` of
+    ``out[..., x + n_s]`` the sum over periods ``p < n_periods`` of
     ``prefix[..., clip(p * n_s + x, 0, m)]`` for every ``x`` in
-    ``[-n_s, 2 * n_s)``, counting every period that a hypothesis up to
-    ``d_max`` reads. A body run from ``b`` to ``e`` then adds
+    ``[-n_s, 2 * n_s)``. A run from ``b`` to ``e`` then adds
     ``out[e - d + n_s] - out[b - d + n_s]`` to hypothesis ``d``: its segments
-    in every period at once, clipped to the window.
+    in those periods at once, clipped to the window. The caller picks the
+    count: ``_period_count`` for every period some hypothesis reads, or
+    fewer to leave the later periods out.
     """
     m = prefix.shape[-1] - 1
-    n_periods = _period_count(m, n_s, d_max)
     r = np.arange(n_s)
     buf = np.empty(prefix.shape[:-1] + (n_s,))
 
@@ -154,7 +170,7 @@ def aml_estimate(
     # one helper per kind, so that each one's buffers are freed before the
     # other allocates its own
     if dense.any():
-        scores += _dense_run_scores(window.samples, vp, mixture, hyp, dense)
+        scores += _dense_run_scores(window.samples, vp, mixture, hyp, dense, n_periods)
     if sparse.any():
         scores += _sparse_run_scores(window.samples, vp, mixture, hyp, sparse, n_periods)
     return _decide(scores, hyp, maximize=True, tag="aml")
@@ -191,6 +207,7 @@ def _dense_run_scores(
     mixture: NoiseMixture,
     hyp: HypothesisSet,
     dense: np.ndarray,
+    n_periods: int,
 ) -> np.ndarray:
     """Score terms of the runs of the ``dense`` classes, from per-class
     prefix sums of the likelihood table folded over the periods."""
@@ -204,10 +221,10 @@ def _dense_run_scores(
     prefix = loglik_class_table(padded, vp, mixture, np.flatnonzero(dense))
     prefix[:, 0] = 0.0
     np.cumsum(prefix, axis=1, out=prefix)
-    folded = _fold_periods(prefix, vp.block_len, hyp.d_max)
+    folded = _fold_periods(prefix, vp.block_len, n_periods)
     runs = dense[vp.run_class]
     rows = (np.cumsum(dense) - 1)[vp.run_class[runs]]
-    lo, hi = _run_offsets(vp, hyp)
+    lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
     scores = (folded[rows, hi[:, runs]] - folded[rows, lo[:, runs]]).sum(axis=1)
     if hyp.d_min < 0 and dense[0]:
         # stream indices below 0 are class 0: the first -d samples when d < 0
@@ -280,11 +297,10 @@ def wed_estimate(
         raise ConfigError("noise_var must be positive")
     hyp.validate_against(vp.block_len)
     _check_finite(window)
-    energy = (np.abs(window.samples) ** 2).sum(axis=0)
-    csum = np.concatenate([[0.0], np.cumsum(energy)])
     inv_w = 1.0 / (vp.class_values + noise_var / 2.0)
-    folded = _fold_periods(csum, vp.block_len, hyp.d_max)
-    lo, hi = _run_offsets(vp, hyp)
+    n_periods = _period_count(window.length, vp.block_len, hyp.d_max)
+    folded = _fold_periods(_energy_prefix(window), vp.block_len, n_periods)
+    lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
     scores = (folded[hi] - folded[lo]) @ inv_w[vp.run_class]
     return _decide(scores, hyp, maximize=False, tag="wed")
 
@@ -295,24 +311,21 @@ def ed_estimate(
 ) -> EstimateResult:
     """Energy detector: total energy over the hypothesized zero-tail regions.
 
-    Per block r, the hypothesized noise-only span of the capture runs from
-    n_data + n_taps - 1 + r*block_len - d through (r+1)*block_len - 1 - d.
-    Spans that start before the capture are clipped at 0; blocks beyond the
-    window are not used.
+    Per block r < n_blocks, the hypothesized noise-only span of the capture
+    runs from n_data + n_taps - 1 + r*block_len - d through
+    (r+1)*block_len - 1 - d. Spans that start before the capture are clipped
+    at 0; block n_blocks is not used, even when the window reaches into it.
     """
     cfg = window.config
     if hyp.d_min < 0:
         raise ConfigError("energy detector is defined only for d >= 0")
     hyp.validate_against(cfg.block_len)
-    m = window.length
-    if m < cfg.window_len:
+    if window.length < cfg.window_len:
         raise ConfigError("window shorter than n_blocks * block_len")
     _check_finite(window)
-    energy = (np.abs(window.samples) ** 2).sum(axis=0)
-    csum = np.concatenate([[0.0], np.cumsum(energy)])
-    d = hyp.values[:, None]
-    r = np.arange(cfg.n_blocks)[None, :]
-    lo = np.maximum(cfg.n_data + cfg.n_taps - 1 + r * cfg.block_len - d, 0)
-    hi = np.minimum((r + 1) * cfg.block_len - d, m)
-    scores = (csum[hi] - csum[lo]).sum(axis=1)
+    # one run per period, from the config: zero-power taps cannot move it
+    tail = np.array([cfg.n_data + cfg.n_taps - 1, cfg.block_len])
+    folded = _fold_periods(_energy_prefix(window), cfg.block_len, cfg.n_blocks)
+    lo, hi = _run_offsets(tail, cfg.block_len, hyp)
+    scores = (folded[hi] - folded[lo]).sum(axis=1)
     return _decide(scores, hyp, maximize=False, tag="ed")

@@ -83,8 +83,6 @@ class ExperimentSpec:
             raise ConfigError("master_seed must be non-negative")
         if not self.estimators or any(e not in ESTIMATOR_IDS for e in self.estimators):
             raise ConfigError(f"estimators must be drawn from {ESTIMATOR_IDS}")
-        if self.d_min > self.d_max:
-            raise ConfigError("d_min must not exceed d_max")
         if any(e in ("wed", "ed") for e in self.estimators) and self.d_min < 0:
             raise ConfigError("wed/ed support only non-negative offsets: set d_min >= 0")
         if "wed" in self.estimators and (
@@ -399,8 +397,6 @@ def run_moment_validation(
     follow the Freedman-Diaconis rule and are recorded so plots can be
     rebuilt from the data alone.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     if trials < 2:
         raise ConfigError("moment validation needs at least 2 trials: one sample has no spread")
     if batch < 1:

@@ -40,7 +40,6 @@ _KNOWN_KEYS = _CONFIG_KEYS | {
     "estimators",
     "d_min",
     "d_max",
-    "workers",
     "noise",
     "p0",
     "var_nominal",

@@ -218,6 +218,18 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", [2, 0])
+def test_workers_config_key_exits_2(tmp_path, capsys, workers):
+    # the worker count is set by --workers alone: a config file key for it
+    # was accepted and then ignored, so the run went serial and exited 0
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(f'axis = "snr_db"\nvalues = [40]\ntrials = 1\nworkers = {workers}\n')
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert "unknown key 'workers'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unseeded_run_records_random_seed(tmp_path):
     cfg = tmp_path / "exp.toml"
     cfg.write_text(
@@ -275,7 +287,9 @@ def test_malformed_flag_exits_2(tmp_path, capsys, argv):
 def test_invalid_run_size_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    # moment validation needs two trials, so it names that bound instead
+    expected = "at least 2 trials" if argv[0] == "validate-pdf" else "must be >= 1"
+    assert expected in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

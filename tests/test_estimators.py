@@ -248,13 +248,10 @@ class TestAllEstimatorsHighSnr:
             assert count >= trials - 1, name
 
 
-@st.composite
-def kernel_cases(draw):
-    """A small link observed over up to 8 blocks under a mixture of 1-3
-    components, a hypothesis set anywhere in (-block_len, block_len) and a
-    window generated at an offset inside it, cut to any length."""
+def small_config(draw) -> SystemConfig:
+    """A small link observed over up to 8 blocks by one or two antennas."""
     n_taps = draw(st.integers(1, 5))
-    cfg = SystemConfig(
+    return SystemConfig(
         n_data=draw(st.integers(1, 24)),
         n_zero=draw(st.integers(n_taps, n_taps + 6)),
         n_taps=n_taps,
@@ -263,6 +260,14 @@ def kernel_cases(draw):
         mod_order=4,
         snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])),
     )
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small link observed over up to 8 blocks under a mixture of 1-3
+    components, a hypothesis set anywhere in (-block_len, block_len) and a
+    window generated at an offset inside it, cut to any length."""
+    cfg = small_config(draw)
     n_s = cfg.block_len
     d_min = draw(st.integers(-(n_s - 1), n_s - 1))
     # few hypotheses half of the time: short runs then reach few cells
@@ -277,7 +282,7 @@ def kernel_cases(draw):
     mixture = scale_mixture_to_snr(
         NoiseMixture(weights / weights.sum(), variances), cfg.signal_power, cfg.snr_db
     )
-    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), n_taps)
+    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), cfg.n_taps)
     window = assemble_window(
         cfg, profile, mixture, d_true, seed=(draw(st.integers(0, 2**16)), 3),
         d_pad=max(0, -d_min),
@@ -286,6 +291,26 @@ def kernel_cases(draw):
         window, samples=window.samples[:, : draw(st.integers(1, window.length))]
     )
     return window, variance_profile_h0(cfg, profile), mixture, HypothesisSet(d_min, d_max)
+
+
+@st.composite
+def ed_cases(draw):
+    """A small link observed over up to 8 blocks under Gaussian noise, a
+    hypothesis set in [0, block_len) and the full window, followed by up to
+    two blocks of loud samples that ED must not read."""
+    cfg = small_config(draw)
+    n_s = cfg.block_len
+    d_min = draw(st.integers(0, n_s - 1))
+    d_max = draw(st.integers(d_min, n_s - 1))
+    mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), cfg.signal_power, cfg.snr_db)
+    profile = DelayProfile.exponential(1.0, draw(st.sampled_from([0.05, 0.5])), cfg.n_taps)
+    window = assemble_window(
+        cfg, profile, mixture, draw(st.integers(d_min, d_max)),
+        seed=(draw(st.integers(0, 2**16)), 5), d_pad=0,
+    )
+    loud = np.full((cfg.n_rx, draw(st.integers(0, 2 * n_s))), 1e3 + 0j)
+    samples = np.concatenate([window.samples, loud], axis=1)
+    return dataclasses.replace(window, samples=samples), HypothesisSet(d_min, d_max)
 
 
 class TestDenseRows:
@@ -362,6 +387,24 @@ class TestSegmentKernel:
             np.sum(energy / (vp.window(int(d), window.length) + noise_var / 2.0))
             for d in hyp.values
         ]
+        np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ed_cases())
+    def test_ed_scores_equal_tail_energy(self, case):
+        # the zero tail of each of the n_blocks blocks, and nothing past them
+        window, hyp = case
+        cfg = window.config
+        energy = (np.abs(window.samples) ** 2).sum(axis=0)
+        tail = cfg.n_data + cfg.n_taps - 1
+        ref = [
+            sum(
+                energy[max(r * cfg.block_len + tail - d, 0) : (r + 1) * cfg.block_len - d].sum()
+                for r in range(cfg.n_blocks)
+            )
+            for d in hyp.values
+        ]
+        result = ed_estimate(window, hyp)
         np.testing.assert_allclose(result.scores, ref, rtol=1e-10, atol=SCORE_ATOL)
 
     def test_dense_rows_of_inner_classes(self, rng):

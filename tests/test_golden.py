@@ -60,6 +60,28 @@ FIG7_PERTURBED = {
     },
 }
 
+# fig4 (Gaussian) WED and ED at two block counts: ED reads the zero tail of
+# each of the n_blocks blocks in the window
+FIG4_D_TRUE = [2, 12, 21, 12, 14, 8, 9, 21, 20, 2]
+FIG4_ENERGY = {
+    1: {
+        0: {"d_true": FIG4_D_TRUE,
+            "wed": [6, 1, 15, 12, 23, 9, 7, 22, 18, 0],
+            "ed": [7, 10, 22, 9, 30, 17, 6, 25, 20, 10]},
+        20: {"d_true": FIG4_D_TRUE,
+             "wed": [2, 10, 21, 12, 15, 8, 9, 21, 20, 2],
+             "ed": [2, 11, 21, 14, 14, 8, 9, 21, 20, 2]},
+    },
+    10: {
+        0: {"d_true": FIG4_D_TRUE,
+            "wed": [0, 11, 20, 13, 14, 9, 9, 20, 18, 0],
+            "ed": [7, 13, 18, 17, 16, 9, 8, 20, 18, 5]},
+        20: {"d_true": FIG4_D_TRUE,
+             "wed": [2, 11, 21, 12, 15, 8, 9, 21, 20, 2],
+             "ed": [2, 13, 21, 12, 14, 8, 9, 21, 20, 2]},
+    },
+}
+
 
 def _decisions(preset: str, overrides: dict) -> dict:
     settings = presets.merge_settings(presets.load_preset(preset), overrides)
@@ -100,3 +122,9 @@ def test_fig7_perturbed_profiles_10db():
         "fig7", {"axis": "pdp_alpha", "values": sorted(FIG7_PERTURBED), "snr_db": 10}
     )
     assert got == FIG7_PERTURBED
+
+
+@pytest.mark.parametrize("n_blocks", sorted(FIG4_ENERGY))
+def test_fig4_energy_detectors(n_blocks):
+    got = _decisions("fig4", {"values": [0, 20], "n_blocks": n_blocks})
+    assert got == FIG4_ENERGY[n_blocks]

@@ -97,6 +97,10 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError):
             small_spec(values=())
 
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ConfigError, match="empty hypothesis set"):
+            small_spec(d_min=5, d_max=4)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers"):
