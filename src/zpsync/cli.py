@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: ``simulate`` (lock-in sweeps), ``validate-pdf`` (moment
-validation), ``sensitivity`` (delay-profile error sweeps) and ``profile``
-(runtime scaling). Every run creates an output directory containing a
-manifest (written before any computation), result CSVs and a JSON sidecar
-with the full resolved experiment, so runs are reproducible from the output
-directory alone.
+validation), ``sensitivity`` (the ``pdp_alpha`` sweep over delay-profile
+errors, run as ``simulate``) and ``profile`` (runtime scaling). Every run
+creates an output directory containing a manifest (written before any
+computation), result CSVs and a JSON sidecar with the full resolved
+experiment, so runs are reproducible from the output directory alone.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -24,7 +24,6 @@ from .harness import (
     histogram_to_csv,
     moments_to_csv,
     run_moment_validation,
-    run_pdp_sensitivity,
     run_runtime_scaling,
     run_sweep,
     scaling_to_csv,
@@ -143,7 +142,13 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         overrides["alphas"] = _number_list(args.alphas, float, "--alphas")
     if getattr(args, "sizes", None):
         overrides["sizes"] = _number_list(args.sizes, int, "--sizes")
-    return merge_settings(*layers, overrides)
+    settings = merge_settings(*layers, overrides)
+    if args.command == "sensitivity":
+        if not settings.get("alphas"):
+            raise ConfigFileError("sensitivity needs --alphas or 'alphas' in the config")
+        settings.setdefault("trials", 1000)
+        settings.update(axis="pdp_alpha", values=[float(a) for a in settings["alphas"]])
+    return settings
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, seed: int) -> None:
@@ -168,9 +173,9 @@ def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int, out_dir: 
     print(f"config_hash={spec_hash(spec)} seed={seed}")
     print(f"{'value':>12} {'estimator':>9} {'lock_in':>8} {'ci_lo':>7} {'ci_hi':>7}")
     for row in report.rows:
-        value = "x".join(map(str, row.axis_value)) if isinstance(row.axis_value, tuple) else row.axis_value
         print(
-            f"{value!s:>12} {row.estimator:>9} {row.lock_in:8.4f} {row.ci_lo:7.4f} {row.ci_hi:7.4f}"
+            f"{row.value_label:>12} {row.estimator:>9} {row.lock_in:8.4f}"
+            f" {row.ci_lo:7.4f} {row.ci_hi:7.4f}"
         )
     print(f"wrote {out_dir / 'sweep.csv'}")
     return EXIT_OK
@@ -203,30 +208,6 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int, out_d
     return EXIT_OK
 
 
-def _cmd_sensitivity(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
-    config = config_from_settings(settings)
-    alphas = settings.get("alphas")
-    if not alphas:
-        raise ConfigFileError("sensitivity needs --alphas or 'alphas' in the config")
-    report = run_pdp_sensitivity(
-        config=config,
-        profile=profile_from_settings(settings, config.n_taps),
-        mixture=mixture_from_settings(settings),
-        alpha_list=alphas,
-        trials=int(settings.get("trials", 1000)),
-        master_seed=seed,
-        d_min=int(settings.get("d_min", -30)),
-        d_max=int(settings.get("d_max", 30)),
-        workers=args.workers,
-    )
-    sweep_to_csv(report, out_dir / "sweep.csv")
-    sweep_to_json(report, out_dir / "spec.json")
-    for row in report.rows:
-        print(f"alpha={row.axis_value:<6} lock_in={row.lock_in:.4f} [{row.ci_lo:.4f}, {row.ci_hi:.4f}]")
-    print(f"wrote {out_dir / 'sweep.csv'}")
-    return EXIT_OK
-
-
 def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
     config = config_from_settings(settings)
     sizes = settings.get("sizes")
@@ -254,7 +235,7 @@ def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int, out_dir: P
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "validate-pdf": _cmd_validate_pdf,
-    "sensitivity": _cmd_sensitivity,
+    "sensitivity": _cmd_simulate,
     "profile": _cmd_profile,
 }
 
@@ -263,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         settings = _resolve_settings(args)
         seed = args.seed if args.seed is not None else secrets.randbits(32)
         out_dir = Path(args.out) if args.out else Path("runs") / args.command

@@ -1,5 +1,6 @@
-"""Monte-Carlo experiment engine: lock-in sweeps, moment validation,
-delay-profile-error sensitivity, and runtime scaling.
+"""Monte-Carlo experiment engine: lock-in sweeps (delay-profile-error
+sensitivity is the ``pdp_alpha`` axis), moment validation, and runtime
+scaling.
 
 Every random draw is derived from (master_seed, trial_index, purpose), so
 reports are bit-identical across reruns and worker scheduling. Within a
@@ -115,6 +116,13 @@ class PointResult:
     ci_hi: float
     mean_ns: float
 
+    @property
+    def value_label(self) -> str:
+        """The axis value as written to ``sweep.csv``: antenna pairs as '2x2'."""
+        if isinstance(self.axis_value, tuple):
+            return "x".join(map(str, self.axis_value))
+        return str(self.axis_value)
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -130,12 +138,6 @@ class SweepReport:
         for row in self.rows:
             if row.axis_value == axis_value and row.estimator == estimator:
                 return row.lock_in
-        raise KeyError((axis_value, estimator))
-
-    def interval(self, axis_value, estimator: str = "aml") -> tuple[float, float]:
-        for row in self.rows:
-            if row.axis_value == axis_value and row.estimator == estimator:
-                return row.ci_lo, row.ci_hi
         raise KeyError((axis_value, estimator))
 
 
@@ -176,7 +178,8 @@ def _apply_axis(spec: ExperimentSpec, value):
     elif spec.axis == "p0":
         p0 = float(value)
         mixture = NoiseMixture(np.array([p0, 1.0 - p0]), mixture.variances)
-    # pdp_alpha perturbs only the profile assumed by the estimator, per trial
+    # pdp_alpha perturbs only the profile assumed by the estimator (each tap
+    # by 1 +/- alpha, signs drawn per trial); the true channel is unchanged
     return config, profile, mixture
 
 
@@ -286,39 +289,6 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
             if keep_outcomes:
                 all_outcomes[value] = outcomes
     return SweepReport(spec=spec, rows=tuple(rows), outcomes=all_outcomes if keep_outcomes else None)
-
-
-def run_pdp_sensitivity(
-    config: SystemConfig,
-    profile: DelayProfile,
-    mixture: NoiseMixture,
-    alpha_list,
-    trials: int,
-    master_seed: int = 0,
-    d_min: int = -30,
-    d_max: int = 30,
-    workers: int = 1,
-) -> SweepReport:
-    """Lock-in of the approximate ML estimator when the delay profile it is
-    given has per-tap errors (1 + sign * alpha); the true channel is unchanged.
-
-    Trial randomness is shared across alpha values, so curves differ only
-    through the perturbation.
-    """
-    spec = ExperimentSpec(
-        config=config,
-        profile=profile,
-        mixture=mixture,
-        axis="pdp_alpha",
-        values=tuple(float(a) for a in alpha_list),
-        trials=trials,
-        master_seed=master_seed,
-        estimators=("aml",),
-        d_min=d_min,
-        d_max=d_max,
-        workers=workers,
-    )
-    return run_sweep(spec)
 
 
 @dataclass(frozen=True)
@@ -486,13 +456,11 @@ def run_runtime_scaling(
     multipliers,
     trials: int = 10,
     master_seed: int = 0,
-    d_min: int = 0,
-    d_max: int = 30,
     profile: DelayProfile | None = None,
     mixture: NoiseMixture | None = None,
 ) -> RuntimeScalingReport:
     """Wall time of one estimate as the window grows (block length scaled by
-    each multiplier, hypothesis count fixed), with the least-squares slope of
+    each multiplier, offsets fixed at [0, 30]), with the least-squares slope of
     log(time) against log(window length).
 
     ``profile`` and ``mixture`` describe the link (the tap count does not
@@ -504,7 +472,7 @@ def run_runtime_scaling(
         raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    hyp = HypothesisSet(d_min, d_max)
+    hyp = HypothesisSet(0, 30)
     if profile is None:
         profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)
     if mixture is None:
@@ -550,29 +518,32 @@ def run_runtime_scaling(
     return RuntimeScalingReport(rows=tuple(rows), loglog_slope=slope)
 
 
-def sweep_to_csv(report: SweepReport, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi", "mean_ns"]
-        )
-        for row in report.rows:
-            value = "x".join(str(v) for v in row.axis_value) if isinstance(
-                row.axis_value, tuple
-            ) else row.axis_value
-            writer.writerow(
-                [
-                    report.spec.axis,
-                    value,
-                    row.estimator,
-                    row.trials,
-                    row.successes,
-                    f"{row.lock_in:.6f}",
-                    f"{row.ci_lo:.6f}",
-                    f"{row.ci_hi:.6f}",
-                    f"{row.mean_ns:.1f}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def sweep_to_csv(report: SweepReport, path) -> None:
+    _write_csv(
+        path,
+        ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi", "mean_ns"],
+        (
+            [
+                report.spec.axis,
+                row.value_label,
+                row.estimator,
+                row.trials,
+                row.successes,
+                f"{row.lock_in:.6f}",
+                f"{row.ci_lo:.6f}",
+                f"{row.ci_hi:.6f}",
+                f"{row.mean_ns:.1f}",
+            ]
+            for row in report.rows
+        ),
+    )
 
 
 def sweep_to_json(report: SweepReport, path) -> None:
@@ -587,42 +558,27 @@ def sweep_to_json(report: SweepReport, path) -> None:
 
 
 def moments_to_csv(report: MomentReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "n_samples", "mean", "variance", "skewness", "kurtosis", "analytic_mean", "analytic_variance"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [r.k, r.n_samples, r.mean, r.variance, r.skewness, r.kurtosis, r.analytic_mean, r.analytic_variance]
-            )
+    _write_csv(
+        path, [f.name for f in dataclasses.fields(MomentRow)], map(dataclasses.astuple, report.rows)
+    )
 
 
 def histogram_to_csv(report: MomentReport, k: int, path) -> None:
     hist = report.histograms[k]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "analytic_pdf"])
-        for lo, hi, count, pdf in zip(
-            hist["edges"][:-1], hist["edges"][1:], hist["counts"], hist["analytic_pdf"]
-        ):
-            writer.writerow([lo, hi, int(count), pdf])
+    _write_csv(
+        path,
+        ["bin_lo", "bin_hi", "count", "analytic_pdf"],
+        zip(hist["edges"][:-1], hist["edges"][1:], map(int, hist["counts"]), hist["analytic_pdf"]),
+    )
 
 
 def scaling_to_csv(report: RuntimeScalingReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["multiplier", "window_len", "aml_mean_ns", "ed_mean_ns", "aml_min_ns", "ed_min_ns"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.multiplier,
-                    r.window_len,
-                    f"{r.aml_mean_ns:.1f}",
-                    f"{r.ed_mean_ns:.1f}",
-                    f"{r.aml_min_ns:.1f}",
-                    f"{r.ed_min_ns:.1f}",
-                ]
-            )
+    _write_csv(
+        path,
+        ["multiplier", "window_len", "aml_mean_ns", "ed_mean_ns", "aml_min_ns", "ed_min_ns"],
+        (
+            [r.multiplier, r.window_len]
+            + [f"{ns:.1f}" for ns in (r.aml_mean_ns, r.ed_mean_ns, r.aml_min_ns, r.ed_min_ns)]
+            for r in report.rows
+        ),
+    )

@@ -19,38 +19,45 @@ from .waveform import ConfigError, SystemConfig
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1")
 
+# Expected type of each known key: a tuple of the scalar types it accepts,
+# or a one-item list holding that tuple for a list of such scalars. bool is
+# its own type here, so true/false is never taken for an integer.
+_INT = (int,)
+_FLOAT = (int, float)
+_BOOL = (bool,)
+_STR = (str,)
 _CONFIG_KEYS = {
-    "n_data",
-    "n_zero",
-    "n_taps",
-    "n_blocks",
-    "n_tx",
-    "n_rx",
-    "mod_order",
-    "signal_power",
-    "sample_rate_hz",
-    "snr_db",
-    "gaussian_source",
+    "n_data": _INT,
+    "n_zero": _INT,
+    "n_taps": _INT,
+    "n_blocks": _INT,
+    "n_tx": _INT,
+    "n_rx": _INT,
+    "mod_order": _INT,
+    "signal_power": _FLOAT,
+    "snr_db": _FLOAT,
+    "gaussian_source": _BOOL,
 }
-_KNOWN_KEYS = _CONFIG_KEYS | {
-    "command",
-    "axis",
-    "values",
-    "trials",
-    "estimators",
-    "d_min",
-    "d_max",
-    "noise",
-    "p0",
-    "var_nominal",
-    "var_impulse",
-    "pdp_scale",
-    "pdp_decay",
-    "pdp_normalized",
-    "pdp_powers",
-    "ks",
-    "alphas",
-    "sizes",
+_KEY_TYPES = {
+    **_CONFIG_KEYS,
+    "command": _STR,
+    "axis": _STR,
+    "values": [_FLOAT + _STR],
+    "trials": _INT,
+    "estimators": [_STR],
+    "d_min": _INT,
+    "d_max": _INT,
+    "noise": _STR,
+    "p0": _FLOAT,
+    "var_nominal": _FLOAT,
+    "var_impulse": _FLOAT,
+    "pdp_scale": _FLOAT,
+    "pdp_decay": _FLOAT,
+    "pdp_normalized": _BOOL,
+    "pdp_powers": [_FLOAT],
+    "ks": [_INT],
+    "alphas": [_FLOAT],
+    "sizes": [_INT],
 }
 
 
@@ -103,7 +110,7 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigFileError(f"{where}: unknown key {key!r}")
         if value.startswith("[") and value.endswith("]"):
             inner = value[1:-1].strip()
@@ -111,7 +118,20 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
             out[key] = [_parse_scalar(t, where) for t in items]
         else:
             out[key] = _parse_scalar(value, where)
+        _check_type(key, out[key], where)
     return out
+
+
+def _check_type(key: str, value, where: str) -> None:
+    expected = _KEY_TYPES[key]
+    if isinstance(expected, list):
+        ok = isinstance(value, list) and all(type(v) in expected[0] for v in value)
+        wanted = "a list of " + " or ".join(t.__name__ for t in expected[0])
+    else:
+        ok = type(value) in expected
+        wanted = " or ".join(t.__name__ for t in expected)
+    if not ok:
+        raise ConfigFileError(f"{where}: {key!r} must be {wanted}, got {value!r}")
 
 
 def load_config_file(path) -> dict:

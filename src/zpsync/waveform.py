@@ -31,7 +31,6 @@ class SystemConfig:
     n_tx, n_rx:   transmit / receive antenna counts
     mod_order:    QAM constellation size (power of two, >= 4)
     signal_power: total transmit sample power (linear), split evenly across tx antennas
-    sample_rate_hz: metadata only; all algorithms operate on sample indices
     snr_db:       signal-to-noise ratio 10*log10(signal_power / avg noise power)
     gaussian_source: draw data samples directly as complex Gaussians instead of
                   QAM + inverse DFT (oracle mode for validating the CLT model)
@@ -45,7 +44,6 @@ class SystemConfig:
     n_rx: int = 1
     mod_order: int = 128
     signal_power: float = 1.0
-    sample_rate_hz: float = 1e6
     snr_db: float = 10.0
     gaussian_source: bool = False
 

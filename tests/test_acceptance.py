@@ -28,10 +28,10 @@ from zpsync import (
 from zpsync.channel import substream
 from zpsync.estimators import HypothesisSet
 from zpsync.harness import (
+    ExperimentSpec,
     run_moment_validation,
     run_runtime_scaling,
     run_sweep,
-    run_pdp_sensitivity,
 )
 from zpsync.presets import (
     config_from_settings,
@@ -176,15 +176,18 @@ def test_c08_impulsiveness_trend():
 def test_c09_pdp_error_sensitivity():
     settings = load_preset("fig7")
     config = config_from_settings(settings)
-    report = run_pdp_sensitivity(
-        config=config,
-        profile=profile_from_settings(settings, config.n_taps),
-        mixture=mixture_from_settings(settings),
-        alpha_list=[0.0, 0.7],
-        trials=1000,
-        master_seed=109,
-        d_min=int(settings["d_min"]),
-        d_max=int(settings["d_max"]),
+    report = run_sweep(
+        ExperimentSpec(
+            config=config,
+            profile=profile_from_settings(settings, config.n_taps),
+            mixture=mixture_from_settings(settings),
+            axis="pdp_alpha",
+            values=(0.0, 0.7),
+            trials=1000,
+            master_seed=109,
+            d_min=int(settings["d_min"]),
+            d_max=int(settings["d_max"]),
+        )
     )
     base = report.lock_in(0.0)
     perturbed = report.lock_in(0.7)

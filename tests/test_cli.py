@@ -167,6 +167,45 @@ def test_sensitivity_smoke(tmp_path):
     assert len(read_rows(out / "sweep.csv")) == 3
 
 
+def test_sensitivity_is_a_pdp_alpha_sweep(tmp_path):
+    # sensitivity is simulate on the pdp_alpha axis: one config file, seed
+    # and trial count give the same resolved experiment and lock-in either way
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(
+        "\n".join(
+            [
+                'axis = "pdp_alpha"',
+                "values = [0.0, 0.5]",
+                "n_data = 64",
+                "n_zero = 12",
+                "n_taps = 6",
+                "n_blocks = 2",
+                "mod_order = 16",
+                "snr_db = 12",
+                "d_min = -4",
+                "d_max = 4",
+            ]
+        )
+    )
+    common = ["--config", str(cfg), "--trials", "6", "--seed", "3"]
+    sens, sim = tmp_path / "sens", tmp_path / "sim"
+    assert main(["sensitivity", *common, "--alphas", "0,0.5", "--out", str(sens)]) == 0
+    assert main(["simulate", *common, "--out", str(sim)]) == 0
+    assert (sens / "spec.json").read_text() == (sim / "spec.json").read_text()
+    lock_in = ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi"]
+    rows = [
+        [[row[c] for c in lock_in] for row in read_rows(out / "sweep.csv")] for out in (sens, sim)
+    ]
+    assert rows[0] == rows[1]
+    assert [r[:2] for r in rows[0]] == [["pdp_alpha", "0.0"], ["pdp_alpha", "0.5"]]
+
+
+def test_sensitivity_without_alphas_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sensitivity", "--preset", "fig2", "--seed", "1", "--out", str(out)]) == 2
+    assert "sensitivity needs --alphas" in capsys.readouterr().err
+
+
 def test_sensitivity_alpha_out_of_domain(tmp_path):
     code = main(
         ["sensitivity", "--preset", "fig7", "--alphas", "1.2", "--trials", "2",
@@ -216,6 +255,54 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg.write_text("nonsense = 3\n")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'snr_db = "ten"',
+        "n_blocks = 2.5",
+        "n_blocks = true",
+        'trials = "many"',
+        "values = 5",
+        'pdp_powers = [1, "a"]',
+    ],
+)
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, line):
+    # each of these used to pass the parser and die later with a traceback
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(f"# wrong type on line 2\n{line}\n")
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig4", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    key = line.partition(" ")[0]
+    assert f"{cfg}:2: {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rate_config_key_exits_2(tmp_path, capsys):
+    # the sample rate was metadata that no computation read
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text("sample_rate_hz = 1e6\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--preset", "fig4", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown key 'sample_rate_hz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "fig4", "--trials", "1"],
+        ["validate-pdf", "--preset", "table1", "--k", "1", "--trials", "2"],
+        ["sensitivity", "--preset", "fig7", "--alphas", "0", "--trials", "1"],
+        ["profile", "--preset", "fig2", "--sizes", "1,2,4", "--trials", "1"],
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [2, 0])

@@ -20,7 +20,6 @@ from zpsync.harness import (
     histogram_to_csv,
     moments_to_csv,
     run_moment_validation,
-    run_pdp_sensitivity,
     run_runtime_scaling,
     run_sweep,
     spec_hash,
@@ -383,20 +382,19 @@ class TestMomentSamplerBitExact:
 class TestPdpSensitivity:
     def test_zero_alpha_matches_plain_sweep(self):
         plain = run_sweep(small_spec(trials=25))
-        sens = run_pdp_sensitivity(
-            SMALL, SMALL_PROFILE, IMPULSIVE, [0.0], trials=25, master_seed=7,
-            d_min=-8, d_max=8,
-        )
+        sens = run_sweep(small_spec(axis="pdp_alpha", values=(0.0,), trials=25))
         assert sens.rows[0].successes == plain.rows[0].successes
 
     def test_alpha_rejected_at_one(self):
         with pytest.raises(ConfigError):
-            run_pdp_sensitivity(SMALL, SMALL_PROFILE, IMPULSIVE, [0.0, 1.0], trials=5)
+            ExperimentSpec(
+                config=SMALL, profile=SMALL_PROFILE, mixture=IMPULSIVE,
+                axis="pdp_alpha", values=(0.0, 1.0), trials=5,
+            )
 
     def test_shared_randomness_across_alphas(self):
-        report = run_pdp_sensitivity(
-            SMALL, SMALL_PROFILE, IMPULSIVE, [0.0, 0.5], trials=10, master_seed=8,
-            d_min=-8, d_max=8,
+        report = run_sweep(
+            small_spec(axis="pdp_alpha", values=(0.0, 0.5), trials=10, master_seed=8)
         )
         assert len(report.rows) == 2
         assert report.rows[0].trials == report.rows[1].trials == 10
