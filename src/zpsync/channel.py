@@ -8,16 +8,20 @@ bit-exact shifts of each other.
 
 Every draw comes from its own substream, keyed ``(seed, purpose, antenna,
 block)``. :func:`build_stream` keeps that layout but builds a trial in a few
-array passes: all blocks' data go through one inverse DFT, and each noise
-substream writes its unit normals straight into the stream before one
-scaling pass. It produces the same bits as drawing block by block with
+array passes: :func:`window_seeds` derives the seeds of all its substreams
+(of a whole group of trials, in the harness) in one numpy pass of
+``SeedSequence``'s hash, all blocks' data go through one inverse DFT, and
+each noise substream writes its unit normals straight into the stream
+before one scaling pass. It produces the same bits as drawing block by block with
 :func:`~zpsync.waveform.generate_block` and :func:`draw_noise`, which are
 thin wrappers over the same helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +48,171 @@ def substream(*entropy: int) -> np.random.Generator:
 
     A path of plain ints below 2**32 is handed to ``SeedSequence`` as one
     uint32 array, which it reads as the same words as the list but without
-    converting each int; any other path goes in as a list.
+    converting each int; any other path goes in as a list. This is
+    numpy's own derivation, the oracle that :func:`window_seeds` matches.
     """
     if all(type(w) is int and 0 <= w < _WORD for w in entropy):
         words = np.array(entropy, dtype=np.uint32)
     else:
         words = list(entropy)
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+# SeedSequence's hash constants; its entropy pool holds 4 uint32 words
+_MASK = _WORD - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(seed: tuple[int, ...]) -> list[int]:
+    """The uint32 words ``SeedSequence`` reads from a path of non-negative
+    ints: each int as its little-endian 32-bit words, 0 as one word."""
+    words = []
+    for w in map(operator.index, seed):
+        if w < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(w & _MASK)
+        while w := w >> 32:
+            words.append(w & _MASK)
+    return words
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of a SeedSequence hash constant, as a
+    (count, 1) uint32 column: ``init``, then each times ``mult``."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _MASK)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
+
+
+def _pcg64_seeds(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row[:length]).generate_state(4, np.uint64)`` for every
+    row of the uint32 array ``words`` (shape (..., L)) and its length in
+    ``lengths`` (broadcast to shape (...,)), as shape (..., 4). Words past a
+    row's length must be 0.
+
+    The hash is SeedSequence's, in wrapping uint32 arithmetic over all rows
+    at once: hash the words into a pool of 4 (a row shorter than the pool
+    reads as padded with zeros, which hash as SeedSequence's padding does),
+    mix every pool word into the others, mix each word past the pool into
+    every pool word of the rows that hold it, then hash the pool out into 8
+    words read as 4 little-endian uint64s. The hash constant advances once
+    per hash, the same for every row, so each step hashes all the pool words
+    it touches in one array operation with a column of consecutive constants.
+    """
+    n_words = max(words.shape[-1], _POOL)
+    entropy = np.zeros((n_words, words[..., 0].size), dtype=np.uint32)
+    entropy[: words.shape[-1]] = words.reshape(-1, words.shape[-1]).T
+    lengths = np.broadcast_to(lengths, words.shape[:-1]).ravel()
+    # 4 * n_words hashes: one per word into the pool, per ordered pair of
+    # pool words and per (word past the pool, pool word); hash k reads
+    # constants k and k + 1
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * n_words + 1)
+    used = 0
+
+    def hashmix(value, count):
+        nonlocal used
+        value = value ^ consts[used : used + count]
+        value *= consts[used + 1 : used + count + 1]
+        value ^= value >> 16
+        used += count
+        return value
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L
+        result -= y * _MIX_MULT_R
+        result ^= result >> 16
+        return result
+
+    pool = hashmix(entropy[:_POOL], _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for i in range(_POOL, n_words):
+        pool = np.where(lengths > i, mix(pool, hashmix(entropy[i], _POOL)), pool)
+
+    out = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    state = np.concatenate([pool, pool]) ^ out[:-1]
+    state *= out[1:]
+    state ^= state >> 16
+    seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return seeds.reshape(words.shape[:-1] + (_POOL,))
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_suffixes(n_tx: int, n_rx: int, n_blocks: int, pre_pad: bool) -> tuple:
+    """The path suffix of every substream of a window, in the order
+    :func:`build_stream` reads them, as (suffix words (n_streams, 3), suffix
+    lengths): ``(STREAM_CHANNEL,)``, then ``(STREAM_SIGNAL, i, n)``, then
+    ``(STREAM_NOISE, j, b)`` with b = 0 only under a pre-pad."""
+    n_gen = n_blocks + 1
+    rows = [(STREAM_CHANNEL, 0, 0)]
+    rows += [(STREAM_SIGNAL, i, n) for i in range(n_tx) for n in range(n_gen)]
+    rows += [
+        (STREAM_NOISE, j, b) for j in range(n_rx) for b in range(0 if pre_pad else 1, n_gen + 1)
+    ]
+    lengths = np.full(len(rows), 3)
+    lengths[0] = 1
+    suffixes = np.array(rows, dtype=np.uint32)
+    suffixes.setflags(write=False)
+    lengths.setflags(write=False)
+    return suffixes, lengths
+
+
+def window_seeds(
+    config: SystemConfig, d_pad: int, seed: tuple[int, ...], trials=None
+) -> np.ndarray:
+    """PCG64 seeds of every substream :func:`build_stream` reads, for a
+    group of trials at once.
+
+    The trials are seeded ``seed + (t,)`` for each t in ``trials`` (each
+    below 2**32), or ``seed`` alone when ``trials`` is None. Returns shape
+    (n_trials, n_streams, 4) in the order build_stream reads the streams:
+    the channel, the signal blocks ``(i, n)``, then the noise substreams
+    ``(j, b)``, with b = 0 only when d_pad > 0. Each seed is the state
+    :func:`substream` gives the same path: the hash runs over numpy arrays
+    of entropy words instead of one ``SeedSequence`` per substream.
+    """
+    suffixes, lengths = _stream_suffixes(config.n_tx, config.n_rx, config.n_blocks, d_pad > 0)
+    prefix = np.array([_seed_words(seed)], dtype=np.uint32)
+    if trials is not None:
+        column = np.asarray(trials, dtype=np.uint32)[:, None]
+        prefix = np.hstack([np.broadcast_to(prefix, (len(column), prefix.shape[1])), column])
+    n_trials, n_prefix = prefix.shape
+    n_streams, n_suffix = suffixes.shape
+    words = np.empty((n_trials, n_streams, n_prefix + n_suffix), dtype=np.uint32)
+    words[..., :n_prefix] = prefix[:, None, :]
+    words[..., n_prefix:] = suffixes
+    return _pcg64_seeds(words, n_prefix + lengths)
+
+
+@functools.cache
+def _row_seed_sequence():
+    """An ``ISeedSequence`` that hands PCG64 one precomputed seed row.
+
+    Defined on first use: the package does not load ``numpy.random`` at
+    import, and a module-level subclass would.
+    """
+
+    class RowSeedSequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for 4 uint64 words
+
+    return RowSeedSequence
+
+
+def _seeded(state: np.ndarray) -> np.random.Generator:
+    """The generator :func:`substream` builds, from its precomputed seed."""
+    return np.random.Generator(np.random.PCG64(_row_seed_sequence()(state)))
 
 
 @dataclass(frozen=True)
@@ -273,6 +435,7 @@ def build_stream(
     seed: tuple[int, ...],
     d_pad: int,
     channel: ChannelRealization | None = None,
+    seeds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ChannelRealization]:
     """Materialize the receive stream for indices [-d_pad, (n_blocks+1)*block_len).
 
@@ -284,6 +447,8 @@ def build_stream(
     ``(seed, STREAM_SIGNAL, i, n)``, and on rx antenna j the pre-pad noise
     from ``(seed, STREAM_NOISE, j, 0)`` (not derived when d_pad is 0) and
     the noise under block n from ``(seed, STREAM_NOISE, j, n + 1)``.
+    ``seeds`` holds those substreams' seeds as :func:`window_seeds` derives
+    them for a group of trials; without it they are derived here.
 
     The trial is built in array passes: the data of all (i, n) blocks go
     through one gather and one inverse DFT into a zeroed
@@ -299,31 +464,26 @@ def build_stream(
     n_gen = config.n_blocks + 1
     sig_len = n_gen * n_s
 
+    if seeds is None:
+        seeds = window_seeds(config, d_pad, seed)[0]
+    rngs = [_seeded(state) for state in seeds]
     if channel is None:
-        channel = draw_channel(
-            profile, config.n_tx, config.n_rx, substream(*seed, STREAM_CHANNEL)
-        )
+        channel = draw_channel(profile, config.n_tx, config.n_rx, rngs[0])
+    n_sig = config.n_tx * n_gen
     frames = np.zeros((config.n_tx, n_gen, n_s), dtype=np.complex128)
-    draw_block_data(
-        config,
-        [
-            substream(*seed, STREAM_SIGNAL, i, n)
-            for i in range(config.n_tx)
-            for n in range(n_gen)
-        ],
-        frames.reshape(-1, n_s)[:, : config.n_data],
-    )
+    draw_block_data(config, rngs[1 : 1 + n_sig], frames.reshape(-1, n_s)[:, : config.n_data])
     frames = frames.reshape(config.n_tx, sig_len)
 
     # noise block 0 is the pre-pad, block n + 1 lies under signal block n
     edges = [0] + [d_pad + n * n_s for n in range(n_gen + 1)]
-    spans = [(b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
+    spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     stream = np.empty((config.n_rx, d_pad + sig_len), dtype=np.complex128)
     uniforms = np.empty(stream.shape) if mixture.n_components > 1 else None
+    noise_rngs = iter(rngs[1 + n_sig :])
     for j in range(config.n_rx):
-        for b, lo, hi in spans:
+        for lo, hi in spans:
             _draw_unit_noise(
-                substream(*seed, STREAM_NOISE, j, b),
+                next(noise_rngs),
                 stream[j, lo:hi],
                 None if uniforms is None else uniforms[j, lo:hi],
             )
@@ -345,13 +505,15 @@ def assemble_window(
     seed: int | tuple[int, ...],
     d_pad: int | None = None,
     channel: ChannelRealization | None = None,
+    seeds: np.ndarray | None = None,
 ) -> ReceivedWindow:
     """Build the receiver's observation window for a true timing offset.
 
     ``d_true`` may range over [-d_pad, block_len - 1]: negative offsets mean
     the receiver started early and captures that many leading noise samples.
     ``seed`` identifies the trial; pass ``channel`` to pin the realization
-    (noise-free oracle tests).
+    (noise-free oracle tests), and ``seeds`` to hand :func:`build_stream`
+    the trial's pre-derived substream seeds (see :func:`window_seeds`).
     """
     seed_t = (seed,) if isinstance(seed, int) else tuple(seed)
     n_s = config.block_len
@@ -363,7 +525,7 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    stream, realization = build_stream(config, profile, mixture, seed_t, d_pad, channel)
+    stream, realization = build_stream(config, profile, mixture, seed_t, d_pad, channel, seeds)
     start = d_pad + d_true
     window = stream[:, start : start + config.window_len].copy()
     return ReceivedWindow(

@@ -112,6 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the list setting each of these commands cannot run without, and its flag
+_REQUIRED_LISTS = {
+    "validate-pdf": ("ks", "--k"),
+    "sensitivity": ("alphas", "--alphas"),
+    "profile": ("sizes", "--sizes"),
+}
+
+
 def _resolve_settings(args: argparse.Namespace) -> dict:
     layers = []
     if args.preset:
@@ -143,9 +151,11 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     if getattr(args, "sizes", None):
         overrides["sizes"] = _number_list(args.sizes, int, "--sizes")
     settings = merge_settings(*layers, overrides)
+    if args.command in _REQUIRED_LISTS:
+        key, flag = _REQUIRED_LISTS[args.command]
+        if not settings.get(key):
+            raise ConfigFileError(f"{args.command} needs {flag} or '{key}' in the config")
     if args.command == "sensitivity":
-        if not settings.get("alphas"):
-            raise ConfigFileError("sensitivity needs --alphas or 'alphas' in the config")
         settings.setdefault("trials", 1000)
         settings.update(axis="pdp_alpha", values=[float(a) for a in settings["alphas"]])
     return settings
@@ -183,15 +193,12 @@ def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int, out_dir: 
 
 def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
     config = config_from_settings(settings)
-    ks = settings.get("ks")
-    if not ks:
-        raise ConfigFileError("validate-pdf needs --k or 'ks' in the config")
     report = run_moment_validation(
         config=config,
         profile=profile_from_settings(settings, config.n_taps),
         mixture=mixture_from_settings(settings),
         snr_db=float(settings.get("snr_db", config.snr_db)),
-        sample_indices=ks,
+        sample_indices=settings["ks"],
         trials=int(settings.get("trials", 100000)),
         master_seed=seed,
     )
@@ -210,12 +217,9 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int, out_d
 
 def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
     config = config_from_settings(settings)
-    sizes = settings.get("sizes")
-    if not sizes:
-        raise ConfigFileError("profile needs --sizes or 'sizes' in the config")
     report = run_runtime_scaling(
         config=config,
-        multipliers=sizes,
+        multipliers=settings["sizes"],
         trials=int(settings.get("trials", 10)),
         master_seed=seed,
         profile=profile_from_settings(settings, config.n_taps),

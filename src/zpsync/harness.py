@@ -16,6 +16,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,12 +35,35 @@ from .channel import (
     draw_noise,
     scale_mixture_to_snr,
     substream,
+    window_seeds,
 )
 from .estimators import HypothesisSet, aml_estimate, ed_estimate, wed_estimate
 from .likelihood import b_function, variance_profile_h0
 from .waveform import ConfigError, SystemConfig, draw_block_data
 
-SWEEP_AXES = ("snr_db", "n_blocks", "antennas", "p0", "pdp_alpha")
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what a value of each sweep axis must be: (check, description)
+_AXIS_VALUES = {
+    "snr_db": (lambda v: _is_real(v) and math.isfinite(v), "finite reals"),
+    "n_blocks": (lambda v: _is_int(v) and v >= 1, "ints >= 1"),
+    "antennas": (
+        lambda v: isinstance(v, (tuple, list))
+        and len(v) == 2
+        and all(_is_int(n) and n >= 1 for n in v),
+        "pairs of ints >= 1",
+    ),
+    "p0": (lambda v: _is_real(v) and 0 < v < 1, "reals in (0, 1)"),
+    "pdp_alpha": (lambda v: _is_real(v) and 0 <= v < 1, "reals in [0, 1)"),
+}
+SWEEP_AXES = tuple(_AXIS_VALUES)
 ESTIMATOR_IDS = ("aml", "wed", "ed")
 
 Z_95 = 1.959963984540054
@@ -92,8 +117,10 @@ class ExperimentSpec:
             raise ConfigError("wed requires single-component Gaussian noise")
         if self.axis == "p0" and self.mixture.n_components != 2:
             raise ConfigError("p0 sweep needs a two-component base mixture")
-        if self.axis == "pdp_alpha" and any(not 0 <= a < 1 for a in self.values):
-            raise ConfigError("pdp_alpha values must lie in [0, 1)")
+        check, wanted = _AXIS_VALUES[self.axis]
+        for value in self.values:
+            if not check(value):
+                raise ConfigError(f"{self.axis} values must be {wanted}, got {value!r}")
         HypothesisSet(self.d_min, self.d_max).validate_against(self.config.block_len)
 
 
@@ -199,6 +226,19 @@ def _scale_for_point(spec: ExperimentSpec, config: SystemConfig, mixture: NoiseM
     return scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
 
 
+# trials whose window seeds are derived in one pass: bounds that pass's
+# arrays whatever the trial count
+_SEED_GROUP = 64
+
+
+def _with_window_seeds(config: SystemConfig, d_pad: int, master_seed: int, trial_indices):
+    """Yield each trial index with its window's substream seeds, derived
+    ``_SEED_GROUP`` trials at a time."""
+    for start in range(0, len(trial_indices), _SEED_GROUP):
+        group = trial_indices[start : start + _SEED_GROUP]
+        yield from zip(group, window_seeds(config, d_pad, (master_seed,), group))
+
+
 def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome]:
     config, profile, mixture = _apply_axis(spec, value)
     scaled = _scale_for_point(spec, config, mixture)
@@ -208,7 +248,7 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
     noise_var = float(scaled.variances[0]) if scaled.n_components == 1 else None
 
     outcomes = []
-    for t in trial_indices:
+    for t, seeds in _with_window_seeds(config, d_pad, spec.master_seed, trial_indices):
         d_true = int(
             substream(spec.master_seed, t, STREAM_DELAY).integers(spec.d_min, spec.d_max + 1)
         )
@@ -224,7 +264,7 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
         else:
             vp = vp_true
         window = assemble_window(
-            config, profile, scaled, d_true, seed=(spec.master_seed, t), d_pad=d_pad
+            config, profile, scaled, d_true, seed=(spec.master_seed, t), d_pad=d_pad, seeds=seeds
         )
         d_hat: dict[str, int] = {}
         elapsed: dict[str, int] = {}

@@ -19,10 +19,14 @@ from zpsync.channel import (
     STREAM_NOISE,
     STREAM_SIGNAL,
     ChannelRealization,
+    _pcg64_seeds,
+    _seeded,
     build_stream,
     convolve_frame,
     substream,
+    window_seeds,
 )
+from zpsync.presets import config_from_settings, load_preset, mixture_from_settings
 from zpsync.waveform import read_iq_f64
 
 
@@ -319,6 +323,71 @@ class TestBuildStreamBitExact:
             stream, _ = build_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
             ref, _ = per_block_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
             np.testing.assert_array_equal(stream, ref)
+
+
+def _same_generator(got, expected):
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert got.random() == expected.random()
+
+
+WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+class TestWindowSeeds:
+    """The vectorised seed derivation reproduces numpy's SeedSequence."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(WORD, min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_hash_matches_seed_sequence(self, rows):
+        # rows of different lengths in one call, zero-padded to the longest
+        words = np.zeros((len(rows), max(map(len, rows))), dtype=np.uint32)
+        for k, row in enumerate(rows):
+            words[k, : len(row)] = row
+        seeds = _pcg64_seeds(words, np.array([len(row) for row in rows]))
+        for row, state in zip(rows, seeds):
+            expected = np.random.SeedSequence(np.array(row, dtype=np.uint32))
+            np.testing.assert_array_equal(state, expected.generate_state(4, np.uint64))
+            _same_generator(_seeded(state), np.random.default_rng(expected))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        master=st.sampled_from([0, 2**32, 2**45 + 3]),
+        trials=st.one_of(st.none(), st.lists(WORD, min_size=1, max_size=3)),
+        n_tx=st.sampled_from([1, 2]),
+        n_rx=st.sampled_from([1, 2]),
+        n_blocks=st.integers(1, 3),
+        d_pad=st.sampled_from([0, 5]),
+    )
+    def test_rows_match_substreams(self, master, trials, n_tx, n_rx, n_blocks, d_pad):
+        config = SystemConfig(
+            n_data=8, n_zero=4, n_taps=2, n_blocks=n_blocks, n_tx=n_tx, n_rx=n_rx, mod_order=4
+        )
+        seeds = window_seeds(config, d_pad, (master,), trials)
+        paths = [(master,)] if trials is None else [(master, t) for t in trials]
+        n_gen = n_blocks + 1
+        suffixes = [(STREAM_CHANNEL,)]
+        suffixes += [(STREAM_SIGNAL, i, n) for i in range(n_tx) for n in range(n_gen)]
+        first = 0 if d_pad > 0 else 1
+        suffixes += [(STREAM_NOISE, j, b) for j in range(n_rx) for b in range(first, n_gen + 1)]
+        assert seeds.shape == (len(paths), len(suffixes), 4)
+        for path, row in zip(paths, seeds):
+            for suffix, state in zip(suffixes, row):
+                _same_generator(_seeded(state), substream(*path, *suffix))
+
+    @pytest.mark.parametrize("preset, antennas", [("fig4", (1, 1)), ("fig5", (2, 2))])
+    @pytest.mark.parametrize("d_pad", [0, 30])
+    def test_assemble_window_with_seed_row(self, preset, antennas, d_pad):
+        link = load_preset(preset)
+        config = config_from_settings({**link, "n_tx": antennas[0], "n_rx": antennas[1]})
+        profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)
+        mixture = scale_mixture_to_snr(mixture_from_settings(link), 1.0, 5.0)
+        seeds = window_seeds(config, d_pad, (9,), [3, 4])
+        for t, row in zip([3, 4], seeds):
+            args = (config, profile, mixture, 7, (9, t), d_pad)
+            derived = assemble_window(*args)
+            handed = assemble_window(*args, seeds=row)
+            np.testing.assert_array_equal(handed.samples, derived.samples)
+            np.testing.assert_array_equal(handed.channel.taps, derived.channel.taps)
 
 
 class TestAssembleWindow:

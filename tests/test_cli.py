@@ -290,6 +290,54 @@ def test_sample_rate_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "preset, axis, values",
+    [
+        ("fig3", "n_blocks", "[2.5]"),
+        ("fig2", "snr_db", '["1x1"]'),
+        ("fig6", "p0", '["0.5"]'),
+        ("fig5", "antennas", '["1x1", "0x1"]'),
+        ("fig7", "pdp_alpha", '["0.5"]'),
+    ],
+)
+def test_sweep_value_of_wrong_kind_exits_2(tmp_path, capsys, preset, axis, values):
+    # each used to run at a converted value with exit 0, die with a
+    # traceback, or fail only after the points before it had run
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(f'axis = "{axis}"\nvalues = {values}\ntrials = 1\n')
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", preset, "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {axis} values must be" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-pdf", "--preset", "fig2"],
+        ["profile", "--preset", "fig2"],
+    ],
+)
+def test_missing_required_list_leaves_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert f"error: {argv[0]} needs --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs 10-15 ms to import; the package loads it on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, zpsync, zpsync.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--preset", "fig4", "--trials", "1"],

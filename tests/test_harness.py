@@ -92,6 +92,26 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError):
             small_spec(axis="pdp_alpha", values=(0.0, 1.2))
 
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("snr_db", float("nan")),
+            ("snr_db", True),
+            ("n_blocks", 2.0),
+            ("n_blocks", 0),
+            ("n_blocks", np.int64(-1)),
+            ("antennas", (1, 1, 1)),
+            ("antennas", (1, 0)),
+            ("antennas", "2x2"),
+            ("p0", 1.0),
+            ("p0", "0.5"),
+            ("pdp_alpha", "0.5"),
+        ],
+    )
+    def test_axis_values_checked_against_their_axis(self, axis, value):
+        with pytest.raises(ConfigError, match=f"{axis} values must be"):
+            small_spec(axis=axis, values=(value,))
+
     def test_empty_values(self):
         with pytest.raises(ConfigError):
             small_spec(values=())
@@ -184,6 +204,18 @@ class TestRunSweep:
         for value in values:
             assert [(o.trial_index, o.d_true, o.d_hat) for o in serial.outcomes[value]] == [
                 (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
+            ]
+
+    def test_seed_groups_leave_outcomes_unchanged(self, monkeypatch):
+        # window seeds are derived a group of trials at a time; the group
+        # boundaries must not show in any trial
+        spec = small_spec(trials=12)
+        whole = run_sweep(spec, keep_outcomes=True)
+        monkeypatch.setattr(harness, "_SEED_GROUP", 5)
+        grouped = run_sweep(spec, keep_outcomes=True)
+        for value in spec.values:
+            assert [(o.trial_index, o.d_true, o.d_hat) for o in whole.outcomes[value]] == [
+                (o.trial_index, o.d_true, o.d_hat) for o in grouped.outcomes[value]
             ]
 
     def test_antenna_axis(self):
