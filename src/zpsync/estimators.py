@@ -27,6 +27,14 @@ sparse: its log densities are evaluated on the reachable cells alone and
 each hypothesis takes a sliding sum over them. At the paper's sizes this
 leaves one dense row of twenty. Single-component noise keeps every class
 dense.
+
+What an estimator reads besides the window depends only on the sweep point,
+so it is built once into a frozen plan (:func:`aml_plan`, :func:`wed_plan`,
+:func:`ed_plan`): the run offsets and weights, and A-ML's class split with
+its gather layout. The public ``*_estimate`` calls build a plan per call; the
+harness builds one per point. WED and ED plans also score a group of
+windows' energy prefixes at once (:func:`energy_scores`), bit-identical to
+scoring each window on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .channel import ReceivedWindow
 from .likelihood import NoiseMixture, VarianceProfile, loglik_cells, loglik_class_table
-from .waveform import ConfigError
+from .waveform import ConfigError, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -75,16 +83,21 @@ class EstimateResult:
     estimator_id: str
 
 
-def _check_finite(window: ReceivedWindow) -> None:
-    if not np.all(np.isfinite(window.samples)):
+def check_finite(samples: np.ndarray) -> None:
+    """Refuse a window that holds a non-finite sample."""
+    if not np.all(np.isfinite(samples)):
         raise ConfigError("window holds non-finite samples")
 
 
-def _energy_prefix(window: ReceivedWindow) -> np.ndarray:
+def energy_prefix(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Prefix sums of the sample energy summed over the receive antennas:
-    entry ``k`` is the energy of the first ``k`` window samples."""
-    energy = (np.abs(window.samples) ** 2).sum(axis=0)
-    return np.concatenate([[0.0], np.cumsum(energy)])
+    entry ``k`` is the energy of the first ``k`` window samples. ``out``,
+    of ``m + 1`` entries, takes them in place of a new array."""
+    if out is None:
+        out = np.empty(samples.shape[-1] + 1)
+    out[0] = 0.0
+    np.cumsum((np.abs(samples) ** 2).sum(axis=0), out=out[1:])
+    return out
 
 
 def _run_offsets(edges: np.ndarray, n_s: int, hyp: HypothesisSet) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +156,56 @@ def _fold_periods(prefix: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
     return out.reshape(prefix.shape[:-1] + (3 * n_s,))
 
 
-def _decide(scores: np.ndarray, hyp: HypothesisSet, maximize: bool, tag: str) -> EstimateResult:
+def _best(scores: np.ndarray, hyp: HypothesisSet, maximize: bool, tag: str) -> np.ndarray:
+    """The offset with the best score along the last axis of ``scores``."""
     if not np.all(np.isfinite(scores)):
         raise ConfigError(f"{tag} scores are not finite: sample magnitudes overflow")
     # argmax/argmin return the first optimum, i.e. the smallest d
-    idx = int(np.argmax(scores) if maximize else np.argmin(scores))
+    return hyp.d_min + (np.argmax(scores, axis=-1) if maximize else np.argmin(scores, axis=-1))
+
+
+def _estimate(plan, scores: np.ndarray) -> EstimateResult:
     return EstimateResult(
-        d_hat=hyp.d_min + idx, scores=scores, d_values=hyp.values, estimator_id=tag
+        d_hat=int(plan.decide(scores)),
+        scores=scores,
+        d_values=plan.hyp.values,
+        estimator_id=plan.tag,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class AmlPlan:
+    """What A-ML reads besides the window at one sweep point: the variance
+    classes split into dense table rows and sparse cells, and the layout of
+    each part. Built by :func:`aml_plan` for windows of one length."""
+
+    hyp: HypothesisSet
+    parts: tuple  # scorers of the dense rows and of the sparse cells, in this order
+    tag = "aml"
+
+    def scores(self, samples: np.ndarray) -> np.ndarray:
+        scores = np.zeros(self.hyp.size)
+        # one part at a time, so that each one's buffers are freed before
+        # the next allocates its own
+        for part in self.parts:
+            scores += part(samples)
+        return scores
+
+    def decide(self, scores: np.ndarray) -> np.ndarray:
+        return _best(scores, self.hyp, maximize=True, tag=self.tag)
+
+
+def aml_plan(vp: VarianceProfile, mixture: NoiseMixture, hyp: HypothesisSet, m: int) -> AmlPlan:
+    """A-ML's scoring plan for windows of ``m`` samples."""
+    hyp.validate_against(vp.block_len)
+    n_periods = _period_count(m, vp.block_len, hyp.d_max)
+    dense, sparse = _split_classes(vp, mixture, hyp, m, n_periods)
+    parts = []
+    if dense.any():
+        parts.append(_dense_rows(vp, mixture, hyp, dense, n_periods, m))
+    if sparse.any():
+        parts.append(_sparse_cells(vp, mixture, hyp, sparse, n_periods, m))
+    return AmlPlan(hyp, tuple(parts))
 
 
 def aml_estimate(
@@ -161,19 +216,9 @@ def aml_estimate(
 ) -> EstimateResult:
     """Approximate ML estimate: the offset whose shifted variance profile
     maximizes the window log-likelihood, summed over receive antennas."""
-    hyp.validate_against(vp.block_len)
-    _check_finite(window)
-    m = window.length
-    n_periods = _period_count(m, vp.block_len, hyp.d_max)
-    dense, sparse = _split_classes(vp, mixture, hyp, m, n_periods)
-    scores = np.zeros(hyp.size)
-    # one helper per kind, so that each one's buffers are freed before the
-    # other allocates its own
-    if dense.any():
-        scores += _dense_run_scores(window.samples, vp, mixture, hyp, dense, n_periods)
-    if sparse.any():
-        scores += _sparse_run_scores(window.samples, vp, mixture, hyp, sparse, n_periods)
-    return _decide(scores, hyp, maximize=True, tag="aml")
+    plan = aml_plan(vp, mixture, hyp, window.length)
+    check_finite(window.samples)
+    return _estimate(plan, plan.scores(window.samples))
 
 
 def _split_classes(
@@ -201,47 +246,55 @@ def _split_classes(
     return dense, ~dense & (cells > 0)
 
 
-def _dense_run_scores(
-    samples: np.ndarray,
+def _dense_rows(
     vp: VarianceProfile,
     mixture: NoiseMixture,
     hyp: HypothesisSet,
     dense: np.ndarray,
     n_periods: int,
-) -> np.ndarray:
-    """Score terms of the runs of the ``dense`` classes, from per-class
-    prefix sums of the likelihood table folded over the periods."""
-    m = samples.shape[-1]
-    # prefix[:, k] is the log-likelihood of the first k samples per dense
-    # class. A dummy leading sample with its column zeroed lets the
-    # cumulative sum run in place: a second table-sized array per call makes
-    # long windows pay page faults, which bends the linear runtime scaling
-    # (C10).
-    padded = np.concatenate([np.zeros((samples.shape[0], 1)), samples], axis=1)
-    prefix = loglik_class_table(padded, vp, mixture, np.flatnonzero(dense))
-    prefix[:, 0] = 0.0
-    np.cumsum(prefix, axis=1, out=prefix)
-    folded = _fold_periods(prefix, vp.block_len, n_periods)
+    m: int,
+):
+    """Scorer of the runs of the ``dense`` classes, from per-class prefix
+    sums of the likelihood table folded over the periods."""
+    classes = np.flatnonzero(dense)
     runs = dense[vp.run_class]
-    rows = (np.cumsum(dense) - 1)[vp.run_class[runs]]
+    # each dense run's bounds per hypothesis, as indices into the flattened
+    # fold, whose row i holds class classes[i]
+    row_start = (np.cumsum(dense) - 1)[vp.run_class[runs]] * (3 * vp.block_len)
     lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
-    scores = (folded[rows, hi[:, runs]] - folded[rows, lo[:, runs]]).sum(axis=1)
-    if hyp.d_min < 0 and dense[0]:
-        # stream indices below 0 are class 0: the first -d samples when d < 0
-        scores += prefix[0, np.clip(-hyp.values, 0, m)]
+    lo, hi = row_start + lo[:, runs], row_start + hi[:, runs]
+    # stream indices below 0 are class 0: the first -d samples when d < 0
+    below = np.clip(-hyp.values, 0, m) if hyp.d_min < 0 and dense[0] else None
+
+    def scores(samples: np.ndarray) -> np.ndarray:
+        # prefix[:, k] is the log-likelihood of the first k samples per dense
+        # class. A dummy leading sample with its column zeroed lets the
+        # cumulative sum run in place: a second table-sized array per call
+        # makes long windows pay page faults, which bends the linear runtime
+        # scaling (C10).
+        padded = np.concatenate([np.zeros((samples.shape[0], 1)), samples], axis=1)
+        prefix = loglik_class_table(padded, vp, mixture, classes)
+        prefix[:, 0] = 0.0
+        np.cumsum(prefix, axis=1, out=prefix)
+        folded = _fold_periods(prefix, vp.block_len, n_periods).ravel()
+        total = (folded[hi] - folded[lo]).sum(axis=1)
+        if below is not None:
+            total += prefix[0, below]
+        return total
+
     return scores
 
 
-def _sparse_run_scores(
-    samples: np.ndarray,
+def _sparse_cells(
     vp: VarianceProfile,
     mixture: NoiseMixture,
     hyp: HypothesisSet,
     sparse: np.ndarray,
     n_periods: int,
-) -> np.ndarray:
-    """Score terms of the runs of the ``sparse`` classes, from their
-    reachable cells alone.
+    m: int,
+):
+    """Scorer of the runs of the ``sparse`` classes, from their reachable
+    cells alone.
 
     Run j spans ``[b_j, e_j)`` of a period, L_j = e_j - b_j samples. Cell i
     of the run stands for period position ``b_j - d_max + i``, for i below
@@ -252,7 +305,6 @@ def _sparse_run_scores(
     then gives each hypothesis's term. Class 0's stretch below stream index
     0 is one more run, from ``d_min`` to 0, in the first period only.
     """
-    m = samples.shape[-1]
     runs = sparse[vp.run_class]
     b = vp.run_edges[:-1][runs]
     e = vp.run_edges[1:][runs]
@@ -271,11 +323,75 @@ def _sparse_run_scores(
     if below_zero:
         outside[1:, starts[-1] :] = True
     np.clip(positions, 0, m - 1, out=positions)
-    cells = loglik_cells(samples, positions, np.repeat(run_class, widths), vp, mixture)
-    np.copyto(cells, 0.0, where=outside)
-    csum = np.concatenate([[0.0], np.cumsum(cells.sum(axis=0))])
+    cell_class = np.repeat(run_class, widths)
     first = starts + (hyp.d_max - hyp.values)[:, None]
-    return (csum[first + lengths] - csum[first]).sum(axis=1)
+    last = first + lengths
+
+    def scores(samples: np.ndarray) -> np.ndarray:
+        cells = loglik_cells(samples, positions, cell_class, vp, mixture)
+        np.copyto(cells, 0.0, where=outside)
+        csum = np.concatenate([[0.0], np.cumsum(cells.sum(axis=0))])
+        return (csum[last] - csum[first]).sum(axis=1)
+
+    return scores
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyPlan:
+    """What WED or ED reads besides a window's energy prefix at one sweep
+    point: the fold's period count, the fold columns ``lo`` and ``hi`` that
+    bound each run per hypothesis, and each run's weight. Every method takes
+    prefixes with any leading shape: one window, or a group of them, one per
+    row."""
+
+    tag: str
+    hyp: HypothesisSet
+    n_s: int
+    n_periods: int
+    lo: np.ndarray
+    hi: np.ndarray
+    weights: np.ndarray
+
+    def fold(self, prefix: np.ndarray) -> np.ndarray:
+        return _fold_periods(prefix, self.n_s, self.n_periods)
+
+    def gather(self, folded: np.ndarray) -> np.ndarray:
+        # over a group of rows the gathers come out with the row axis
+        # innermost in memory; a matmul over that layout sums in another
+        # order than over one window's, so copy to C order first
+        return np.subtract(folded[..., self.hi], folded[..., self.lo], order="C") @ self.weights
+
+    def scores(self, prefix: np.ndarray) -> np.ndarray:
+        return self.gather(self.fold(prefix))
+
+    def decide(self, scores: np.ndarray) -> np.ndarray:
+        return _best(scores, self.hyp, maximize=False, tag=self.tag)
+
+
+def energy_scores(plans, prefix: np.ndarray) -> np.ndarray:
+    """Scores of a group of windows, row ``k`` from energy prefix
+    ``prefix[k]`` under ``plans[k]``, equal to each window's own
+    ``plans[k].scores``. The plans differ only in their runs and weights
+    (one sweep point, per-trial profiles), so the group shares one fold and,
+    when all rows share a plan, one gather."""
+    plan = plans[0]
+    folded = plan.fold(prefix)
+    if all(p is plan for p in plans):
+        return plan.gather(folded)
+    return np.stack([p.gather(row) for p, row in zip(plans, folded)])
+
+
+def wed_plan(vp: VarianceProfile, noise_var: float, hyp: HypothesisSet, m: int) -> EnergyPlan:
+    """WED's scoring plan for windows of ``m`` samples."""
+    if hyp.d_min < 0:
+        raise ConfigError("weighted energy detector is defined only for d >= 0")
+    if not noise_var > 0:
+        raise ConfigError("noise_var must be positive")
+    hyp.validate_against(vp.block_len)
+    inv_w = 1.0 / (vp.class_values + noise_var / 2.0)
+    lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
+    n_periods = _period_count(m, vp.block_len, hyp.d_max)
+    return EnergyPlan("wed", hyp, vp.block_len, n_periods, lo, hi, inv_w[vp.run_class])
 
 
 def wed_estimate(
@@ -291,18 +407,23 @@ def wed_estimate(
     single-component noise with d >= 0 (where it shares its decision with the
     approximate ML estimator).
     """
+    plan = wed_plan(vp, noise_var, hyp, window.length)
+    check_finite(window.samples)
+    return _estimate(plan, plan.scores(energy_prefix(window.samples)))
+
+
+def ed_plan(cfg: SystemConfig, hyp: HypothesisSet, m: int) -> EnergyPlan:
+    """ED's scoring plan for windows of ``m`` samples: one run per period,
+    the zero tail taken from the config (zero-power taps cannot move it),
+    over exactly ``n_blocks`` periods."""
     if hyp.d_min < 0:
-        raise ConfigError("weighted energy detector is defined only for d >= 0")
-    if not noise_var > 0:
-        raise ConfigError("noise_var must be positive")
-    hyp.validate_against(vp.block_len)
-    _check_finite(window)
-    inv_w = 1.0 / (vp.class_values + noise_var / 2.0)
-    n_periods = _period_count(window.length, vp.block_len, hyp.d_max)
-    folded = _fold_periods(_energy_prefix(window), vp.block_len, n_periods)
-    lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
-    scores = (folded[hi] - folded[lo]) @ inv_w[vp.run_class]
-    return _decide(scores, hyp, maximize=False, tag="wed")
+        raise ConfigError("energy detector is defined only for d >= 0")
+    hyp.validate_against(cfg.block_len)
+    if m < cfg.window_len:
+        raise ConfigError("window shorter than n_blocks * block_len")
+    tail = np.array([cfg.n_data + cfg.n_taps - 1, cfg.block_len])
+    lo, hi = _run_offsets(tail, cfg.block_len, hyp)
+    return EnergyPlan("ed", hyp, cfg.block_len, cfg.n_blocks, lo, hi, np.ones(1))
 
 
 def ed_estimate(
@@ -316,16 +437,6 @@ def ed_estimate(
     (r+1)*block_len - 1 - d. Spans that start before the capture are clipped
     at 0; block n_blocks is not used, even when the window reaches into it.
     """
-    cfg = window.config
-    if hyp.d_min < 0:
-        raise ConfigError("energy detector is defined only for d >= 0")
-    hyp.validate_against(cfg.block_len)
-    if window.length < cfg.window_len:
-        raise ConfigError("window shorter than n_blocks * block_len")
-    _check_finite(window)
-    # one run per period, from the config: zero-power taps cannot move it
-    tail = np.array([cfg.n_data + cfg.n_taps - 1, cfg.block_len])
-    folded = _fold_periods(_energy_prefix(window), cfg.block_len, cfg.n_blocks)
-    lo, hi = _run_offsets(tail, cfg.block_len, hyp)
-    scores = (folded[hi] - folded[lo]).sum(axis=1)
-    return _decide(scores, hyp, maximize=False, tag="ed")
+    plan = ed_plan(window.config, hyp, window.length)
+    check_finite(window.samples)
+    return _estimate(plan, plan.scores(energy_prefix(window.samples)))

@@ -37,7 +37,17 @@ from .channel import (
     substream,
     window_seeds,
 )
-from .estimators import HypothesisSet, aml_estimate, ed_estimate, wed_estimate
+from .estimators import (
+    HypothesisSet,
+    aml_estimate,
+    aml_plan,
+    check_finite,
+    ed_estimate,
+    ed_plan,
+    energy_prefix,
+    energy_scores,
+    wed_plan,
+)
 from .likelihood import b_function, variance_profile_h0
 from .waveform import ConfigError, SystemConfig, draw_block_data
 
@@ -126,6 +136,15 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One trial's true and estimated offsets.
+
+    ``elapsed_ns`` is shared by every trial of a group of ``_SEED_GROUP``
+    trials: it holds the group's mean time per estimator, since WED and ED
+    score the whole group at once. WED and ED split the energy prefix they
+    share evenly. The mean over a point's trials is its total over its trial
+    count, up to integer rounding.
+    """
+
     trial_index: int
     d_true: int
     d_hat: dict[str, int]
@@ -226,59 +245,81 @@ def _scale_for_point(spec: ExperimentSpec, config: SystemConfig, mixture: NoiseM
     return scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
 
 
-# trials whose window seeds are derived in one pass: bounds that pass's
-# arrays whatever the trial count
+# trials whose window seeds are derived, and whose WED and ED scores are
+# computed, in one pass: bounds that pass's arrays whatever the trial count
 _SEED_GROUP = 64
 
 
-def _with_window_seeds(config: SystemConfig, d_pad: int, master_seed: int, trial_indices):
-    """Yield each trial index with its window's substream seeds, derived
-    ``_SEED_GROUP`` trials at a time."""
-    for start in range(0, len(trial_indices), _SEED_GROUP):
-        group = trial_indices[start : start + _SEED_GROUP]
-        yield from zip(group, window_seeds(config, d_pad, (master_seed,), group))
-
-
 def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome]:
+    """Outcomes of the given trials at one sweep point, ``_SEED_GROUP``
+    trials at a time.
+
+    Each estimator scores from a plan built once per point, or once per
+    trial on the ``pdp_alpha`` axis, where the assumed profile changes per
+    trial. A-ML scores each window as it is built. WED and ED keep only each
+    window's energy prefix and score the whole group at its end.
+    """
     config, profile, mixture = _apply_axis(spec, value)
     scaled = _scale_for_point(spec, config, mixture)
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
-    vp_true = variance_profile_h0(config, profile)
-    noise_var = float(scaled.variances[0]) if scaled.n_components == 1 else None
+    m = config.window_len
+    build = {
+        "aml": lambda vp: aml_plan(vp, scaled, hyp, m),
+        "wed": lambda vp: wed_plan(vp, float(scaled.variances[0]), hyp, m),
+        "ed": lambda vp: ed_plan(config, hyp, m),
+    }
+
+    def plans(vp):
+        return {est: build[est](vp) for est in spec.estimators}
+
+    point_plans = plans(variance_profile_h0(config, profile))
+    energy = [est for est in spec.estimators if est != "aml"]
+    prefix = np.empty((min(_SEED_GROUP, len(trial_indices)), m + 1))
 
     outcomes = []
-    for t, seeds in _with_window_seeds(config, d_pad, spec.master_seed, trial_indices):
-        d_true = int(
-            substream(spec.master_seed, t, STREAM_DELAY).integers(spec.d_min, spec.d_max + 1)
-        )
-        if spec.axis == "pdp_alpha" and value > 0:
-            signs = (
-                substream(spec.master_seed, t, STREAM_PDP_ERROR).integers(
-                    0, 2, size=config.n_taps
-                )
-                * 2
-                - 1
-            )
-            vp = variance_profile_h0(config, profile.perturbed(float(value), signs))
-        else:
-            vp = vp_true
-        window = assemble_window(
-            config, profile, scaled, d_true, seed=(spec.master_seed, t), d_pad=d_pad, seeds=seeds
-        )
-        d_hat: dict[str, int] = {}
-        elapsed: dict[str, int] = {}
-        for est in spec.estimators:
+    for start in range(0, len(trial_indices), _SEED_GROUP):
+        group = trial_indices[start : start + _SEED_GROUP]
+        seeds = window_seeds(config, d_pad, (spec.master_seed,), group)
+        elapsed = dict.fromkeys(spec.estimators, 0)
+        d_true, d_hat, group_plans = [], {est: [] for est in spec.estimators}, []
+        for k, t in enumerate(group):
+            delay = substream(spec.master_seed, t, STREAM_DELAY)
+            d_true.append(int(delay.integers(spec.d_min, spec.d_max + 1)))
+            trial_plans = point_plans
+            if spec.axis == "pdp_alpha" and value > 0:
+                rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
+                signs = rng.integers(0, 2, size=config.n_taps) * 2 - 1
+                vp = variance_profile_h0(config, profile.perturbed(float(value), signs))
+                trial_plans = plans(vp)
+            group_plans.append(trial_plans)
+            samples = assemble_window(
+                config, profile, scaled, d_true[-1], seed=(spec.master_seed, t), d_pad=d_pad,
+                seeds=seeds[k],
+            ).samples
+            check_finite(samples)
+            if "aml" in trial_plans:
+                t0 = time.perf_counter_ns()
+                plan = trial_plans["aml"]
+                d_hat["aml"].append(plan.decide(plan.scores(samples)))
+                elapsed["aml"] += time.perf_counter_ns() - t0
+            if energy:
+                t0 = time.perf_counter_ns()
+                energy_prefix(samples, out=prefix[k])
+                shared_ns = (time.perf_counter_ns() - t0) // len(energy)
+                for est in energy:
+                    elapsed[est] += shared_ns
+        for est in energy:
             t0 = time.perf_counter_ns()
-            if est == "aml":
-                result = aml_estimate(window, vp, scaled, hyp)
-            elif est == "wed":
-                result = wed_estimate(window, vp, noise_var, hyp)
-            else:
-                result = ed_estimate(window, hyp)
-            elapsed[est] = time.perf_counter_ns() - t0
-            d_hat[est] = result.d_hat
-        outcomes.append(TrialOutcome(t, d_true, d_hat, elapsed))
+            est_plans = [p[est] for p in group_plans]
+            d_hat[est] = est_plans[0].decide(energy_scores(est_plans, prefix[: len(group)]))
+            elapsed[est] += time.perf_counter_ns() - t0
+        # one mapping per group: each trial carries the group's mean times
+        mean_ns = {est: round(ns / len(group)) for est, ns in elapsed.items()}
+        outcomes += [
+            TrialOutcome(t, d, {est: int(d_hat[est][k]) for est in spec.estimators}, mean_ns)
+            for k, (t, d) in enumerate(zip(group, d_true))
+        ]
     return outcomes
 
 

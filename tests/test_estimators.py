@@ -447,6 +447,56 @@ class TestSegmentKernel:
             assert (first, second) == (17, 18)
 
 
+class TestGroupScoring:
+    """WED and ED scores of a group of windows, one fold and gather for all
+    of them, equal each window's public call bit for bit."""
+
+    # (preset, overrides, d_max, per-trial perturbed profiles)
+    CASES = {
+        "fig4-2-blocks": ("fig4", {"n_blocks": 2}, 30, False),
+        "fig4-10-blocks": ("fig4", {}, 30, False),
+        "fig2-full-range": ("fig2", {"noise": "gaussian"}, 531, False),
+        "fig7-perturbed": ("fig7", {"noise": "gaussian"}, 30, True),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def group(self, request):
+        preset, overrides, d_max, perturbed = self.CASES[request.param]
+        settings_ = presets.merge_settings(presets.load_preset(preset), overrides)
+        cfg = dataclasses.replace(presets.config_from_settings(settings_), snr_db=5.0)
+        profile = presets.profile_from_settings(settings_, cfg.n_taps)
+        mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), cfg.signal_power, cfg.snr_db)
+        noise_var = float(mixture.variances[0])
+        hyp = HypothesisSet(0, d_max)
+        windows, wed_plans = [], []
+        vp = variance_profile_h0(cfg, profile)
+        plan = estimators.wed_plan(vp, noise_var, hyp, cfg.window_len)
+        for t in range(64):
+            if perturbed:  # one plan per trial, as on the pdp_alpha axis
+                signs = substream(9, t).integers(0, 2, size=cfg.n_taps) * 2 - 1
+                vp = variance_profile_h0(cfg, profile.perturbed(0.3, signs))
+                plan = estimators.wed_plan(vp, noise_var, hyp, cfg.window_len)
+            windows.append((
+                assemble_window(cfg, profile, mixture, (7 * t) % (d_max + 1), seed=(9, t), d_pad=0),
+                vp,
+            ))
+            wed_plans.append(plan)
+        ed_plans = [estimators.ed_plan(cfg, hyp, cfg.window_len)] * 64
+        return windows, noise_var, hyp, wed_plans, ed_plans
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_scores_equal_public_calls(self, group, size):
+        windows, noise_var, hyp, wed_plans, ed_plans = group
+        prefix = np.empty((size, windows[0][0].length + 1))
+        for k, (window, _) in enumerate(windows[:size]):
+            estimators.energy_prefix(window.samples, out=prefix[k])
+        wed = estimators.energy_scores(wed_plans[:size], prefix)
+        ed = estimators.energy_scores(ed_plans[:size], prefix)
+        for k, (window, vp) in enumerate(windows[:size]):
+            np.testing.assert_array_equal(wed[k], wed_estimate(window, vp, noise_var, hyp).scores)
+            np.testing.assert_array_equal(ed[k], ed_estimate(window, hyp).scores)
+
+
 class TestNonFiniteInput:
     """A prefix sum spreads one bad sample into every later segment, so the
     estimators refuse the window instead of returning d_min."""

@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from zpsync import (
     ConfigError,
     DelayProfile,
+    HypothesisSet,
     NoiseMixture,
     SystemConfig,
+    aml_estimate,
+    ed_estimate,
     harness,
     qam_constellation,
+    scale_mixture_to_snr,
+    variance_profile_h0,
+    wed_estimate,
 )
 from zpsync.harness import (
     ExperimentSpec,
@@ -207,16 +213,104 @@ class TestRunSweep:
             ]
 
     def test_seed_groups_leave_outcomes_unchanged(self, monkeypatch):
-        # window seeds are derived a group of trials at a time; the group
-        # boundaries must not show in any trial
-        spec = small_spec(trials=12)
-        whole = run_sweep(spec, keep_outcomes=True)
+        # window seeds are derived, and WED and ED scored, a group of trials
+        # at a time; the group boundaries must not show in any trial
+        gaussian = dict(mixture=NoiseMixture.gaussian(), d_min=0, d_max=12)
+        specs = (
+            small_spec(trials=12),
+            small_spec(trials=12, estimators=("wed", "ed"), **gaussian),
+            small_spec(trials=12, axis="pdp_alpha", values=(0.0, 0.4)),
+            small_spec(
+                trials=12, axis="pdp_alpha", values=(0.4,), estimators=("aml", "wed", "ed"),
+                **gaussian,
+            ),
+        )
+        for spec in specs:
+            monkeypatch.setattr(harness, "_SEED_GROUP", 64)
+            whole = run_sweep(spec, keep_outcomes=True)
+            for size in (1, 5):
+                monkeypatch.setattr(harness, "_SEED_GROUP", size)
+                grouped = run_sweep(spec, keep_outcomes=True)
+                for value in spec.values:
+                    assert [(o.trial_index, o.d_true, o.d_hat) for o in whole.outcomes[value]] == [
+                        (o.trial_index, o.d_true, o.d_hat) for o in grouped.outcomes[value]
+                    ], (spec.axis, spec.estimators, size)
+
+    def test_group_shares_one_timing_mapping(self, monkeypatch):
+        # each trial of a group carries the group's mean time per estimator,
+        # so a point's mean_ns is its total time over its trials
+        clock = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(harness, "time", mock.Mock(perf_counter_ns=lambda: next(clock)))
         monkeypatch.setattr(harness, "_SEED_GROUP", 5)
-        grouped = run_sweep(spec, keep_outcomes=True)
-        for value in spec.values:
-            assert [(o.trial_index, o.d_true, o.d_hat) for o in whole.outcomes[value]] == [
-                (o.trial_index, o.d_true, o.d_hat) for o in grouped.outcomes[value]
-            ]
+        spec = small_spec(
+            trials=12, estimators=("aml", "wed", "ed"), mixture=NoiseMixture.gaussian(),
+            d_min=0, d_max=8,
+        )
+        report = run_sweep(spec, keep_outcomes=True)
+        outcomes = report.outcomes[spec.values[0]]
+        groups = [outcomes[:5], outcomes[5:10], outcomes[10:]]
+        for group in groups:
+            assert all(o.elapsed_ns is group[0].elapsed_ns for o in group)
+        assert len({id(group[0].elapsed_ns) for group in groups}) == 3
+        # every timed span reads 1000 ns: A-ML one per trial; WED and ED
+        # half of each trial's shared energy prefix plus one per group
+        totals = {"aml": 1000 * 12, "wed": 500 * 12 + 1000 * 3, "ed": 500 * 12 + 1000 * 3}
+        for row in report.rows:
+            assert row.mean_ns == pytest.approx(totals[row.estimator] / spec.trials, abs=1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "window holds non-finite samples"), (1e200, "scores are not finite")],
+        ids=["nan", "overflow"],
+    )
+    @pytest.mark.parametrize(
+        "estimators", [("wed", "ed"), ("ed", "wed"), ("aml", "wed", "ed")], ids="-".join
+    )
+    def test_bad_window_raises_the_per_window_error(self, monkeypatch, bad, message, estimators):
+        # group scoring must refuse a bad window with the message of the
+        # first public call that refuses it, and never rank a NaN
+        spec = small_spec(
+            trials=12, estimators=estimators, mixture=NoiseMixture.gaussian(), d_min=0, d_max=8
+        )
+        real_assemble = harness.assemble_window
+        seen = []
+
+        def assemble(*args, **kwargs):
+            window = real_assemble(*args, **kwargs)
+            if window.seed[1] == 7:
+                window.samples[0, 20] = bad
+                seen.append(window)
+            return window
+
+        real_argmin, real_argmax = np.argmin, np.argmax
+
+        def finite_only(real):
+            def rank(a, *args, **kwargs):
+                assert np.all(np.isfinite(a)), "a non-finite score reached a decision"
+                return real(a, *args, **kwargs)
+
+            return rank
+
+        monkeypatch.setattr(harness, "assemble_window", assemble)
+        monkeypatch.setattr(np, "argmin", finite_only(real_argmin))
+        monkeypatch.setattr(np, "argmax", finite_only(real_argmax))
+        with pytest.raises(ConfigError, match=message) as swept:
+            run_sweep(spec)
+        (window,) = seen
+        vp = variance_profile_h0(SMALL, SMALL_PROFILE)
+        mixture = scale_mixture_to_snr(spec.mixture, SMALL.signal_power, 12.0)
+        hyp = HypothesisSet(0, 8)
+        public = {
+            "aml": lambda: aml_estimate(window, vp, mixture, hyp),
+            "wed": lambda: wed_estimate(window, vp, float(mixture.variances[0]), hyp),
+            "ed": lambda: ed_estimate(window, hyp),
+        }
+        with pytest.raises(ConfigError) as direct:
+            for est in estimators:
+                public[est]()
+        assert str(swept.value) == str(direct.value)
 
     def test_antenna_axis(self):
         report = run_sweep(small_spec(axis="antennas", values=((1, 1), (2, 2)), trials=5))
