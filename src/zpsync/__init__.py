@@ -13,7 +13,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelRealization,
     DelayProfile,
     NoiseMixture,
     ReceivedWindow,
@@ -41,7 +40,6 @@ from .likelihood import (
 )
 from .waveform import (
     ConfigError,
-    OfdmBlock,
     SystemConfig,
     generate_block,
     generate_frame,
@@ -49,13 +47,11 @@ from .waveform import (
 )
 
 __all__ = [
-    "ChannelRealization",
     "ConfigError",
     "DelayProfile",
     "EstimateResult",
     "HypothesisSet",
     "NoiseMixture",
-    "OfdmBlock",
     "ReceivedWindow",
     "SystemConfig",
     "VarianceProfile",

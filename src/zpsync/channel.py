@@ -258,13 +258,6 @@ class DelayProfile:
         return DelayProfile(self.powers * (1.0 + alpha * np.asarray(signs, dtype=float)))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One quasi-static draw of all tap gains: shape (n_rx, n_tx, n_taps)."""
-
-    taps: np.ndarray
-
-
 @dataclass(frozen=True)
 class NoiseMixture:
     """Zero-mean complex Gaussian mixture (Class A style impulsive noise).
@@ -326,13 +319,14 @@ def scale_mixture_to_snr(
 
 def draw_channel(
     profile: DelayProfile, n_tx: int, n_rx: int, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw i.i.d. Rayleigh taps h[j, i, k] ~ CN(0, powers[k]) for every
-    (receive, transmit) antenna pair."""
+) -> np.ndarray:
+    """Draw one quasi-static channel: i.i.d. Rayleigh taps
+    h[j, i, k] ~ CN(0, powers[k]) for every (receive, transmit) antenna
+    pair, shape (n_rx, n_tx, n_taps)."""
     shape = (n_rx, n_tx, profile.n_taps)
     taps = rng.standard_normal(shape + (2,)) @ np.array([1.0, 1.0j])
     taps *= np.sqrt(profile.powers / 2.0)
-    return ChannelRealization(taps=taps)
+    return taps
 
 
 def _draw_unit_noise(
@@ -393,10 +387,7 @@ class ReceivedWindow:
     samples: np.ndarray  # (n_rx, m) complex
     d_true: int
     config: SystemConfig
-    profile: DelayProfile
-    mixture: NoiseMixture
-    seed: tuple[int, ...]
-    channel: ChannelRealization
+    channel: np.ndarray  # taps, (n_rx, n_tx, n_taps) complex
 
     @property
     def n_rx(self) -> int:
@@ -434,9 +425,9 @@ def build_stream(
     mixture: NoiseMixture,
     seed: tuple[int, ...],
     d_pad: int,
-    channel: ChannelRealization | None = None,
+    channel: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
-) -> tuple[np.ndarray, ChannelRealization]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Materialize the receive stream for indices [-d_pad, (n_blocks+1)*block_len).
 
     Index 0 is the first transmitted sample; the d_pad leading samples are
@@ -490,9 +481,9 @@ def build_stream(
     _scale_noise(mixture, stream, uniforms)
 
     for j in range(config.n_rx):
-        sig = convolve_frame(frames[0], channel.taps[j, 0])
+        sig = convolve_frame(frames[0], channel[j, 0])
         for i in range(1, config.n_tx):
-            sig += convolve_frame(frames[i], channel.taps[j, i])
+            sig += convolve_frame(frames[i], channel[j, i])
         stream[j, d_pad:] += sig
     return stream, channel
 
@@ -504,16 +495,17 @@ def assemble_window(
     d_true: int,
     seed: int | tuple[int, ...],
     d_pad: int | None = None,
-    channel: ChannelRealization | None = None,
+    channel: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
 ) -> ReceivedWindow:
     """Build the receiver's observation window for a true timing offset.
 
     ``d_true`` may range over [-d_pad, block_len - 1]: negative offsets mean
     the receiver started early and captures that many leading noise samples.
-    ``seed`` identifies the trial; pass ``channel`` to pin the realization
-    (noise-free oracle tests), and ``seeds`` to hand :func:`build_stream`
-    the trial's pre-derived substream seeds (see :func:`window_seeds`).
+    ``seed`` identifies the trial; pass ``channel`` (taps as
+    :func:`draw_channel` returns them) to pin the channel (noise-free oracle
+    tests), and ``seeds`` to hand :func:`build_stream` the trial's
+    pre-derived substream seeds (see :func:`window_seeds`).
     """
     seed_t = (seed,) if isinstance(seed, int) else tuple(seed)
     n_s = config.block_len
@@ -525,15 +517,7 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    stream, realization = build_stream(config, profile, mixture, seed_t, d_pad, channel, seeds)
+    stream, channel = build_stream(config, profile, mixture, seed_t, d_pad, channel, seeds)
     start = d_pad + d_true
     window = stream[:, start : start + config.window_len].copy()
-    return ReceivedWindow(
-        samples=window,
-        d_true=d_true,
-        config=config,
-        profile=profile,
-        mixture=mixture,
-        seed=seed_t,
-        channel=realization,
-    )
+    return ReceivedWindow(window, d_true, config, channel)

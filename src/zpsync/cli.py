@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--snr", help="comma list of SNR points in dB (axis snr_db)")
     sim.add_argument("--blocks", help="comma list of observation counts (axis n_blocks)")
     sim.add_argument("--antennas", help="comma list like 1x1,2x2 (axis antennas)")
-    sim.add_argument("--delay-range", help="offset range MIN:MAX, e.g. -30:30")
+    sim.add_argument("--delay-range", help="offset range MIN:MAX, e.g. --delay-range=-30:30")
 
     val = sub.add_parser("validate-pdf", help="moment validation of the sample model")
     _add_common(val)
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers(sens)
     sens.add_argument("--alphas", help="comma list of per-tap error magnitudes in [0,1)")
     sens.add_argument("--noise", choices=["gaussian", "impulsive"])
-    sens.add_argument("--delay-range", help="offset range MIN:MAX")
+    sens.add_argument("--delay-range", help="offset range MIN:MAX, e.g. --delay-range=-30:30")
 
     prof = sub.add_parser("profile", help="estimator runtime scaling")
     _add_common(prof)

@@ -78,9 +78,7 @@ class HypothesisSet:
 @dataclass(frozen=True, eq=False)
 class EstimateResult:
     d_hat: int
-    scores: np.ndarray
-    d_values: np.ndarray
-    estimator_id: str
+    scores: np.ndarray  # one per hypothesis, d_min first
 
 
 def check_finite(samples: np.ndarray) -> None:
@@ -165,12 +163,7 @@ def _best(scores: np.ndarray, hyp: HypothesisSet, maximize: bool, tag: str) -> n
 
 
 def _estimate(plan, scores: np.ndarray) -> EstimateResult:
-    return EstimateResult(
-        d_hat=int(plan.decide(scores)),
-        scores=scores,
-        d_values=plan.hyp.values,
-        estimator_id=plan.tag,
-    )
+    return EstimateResult(int(plan.decide(scores)), scores)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,6 +60,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _reject_repeats(what: str, items) -> None:
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError(f"{what} must not repeat, got {item!r} twice")
+        seen.add(item)
+
+
 # what a value of each sweep axis must be: (check, description)
 _AXIS_VALUES = {
     "snr_db": (lambda v: _is_real(v) and math.isfinite(v), "finite reals"),
@@ -131,6 +139,13 @@ class ExperimentSpec:
         for value in self.values:
             if not check(value):
                 raise ConfigError(f"{self.axis} values must be {wanted}, got {value!r}")
+        # a repeat would run twice under one outcomes key: 10 equals 10.0,
+        # and an antenna list equals its tuple
+        _reject_repeats("estimators", self.estimators)
+        _reject_repeats(
+            f"{self.axis} values",
+            [tuple(v) if isinstance(v, list) else v for v in self.values],
+        )
         HypothesisSet(self.d_min, self.d_max).validate_against(self.config.block_len)
 
 
@@ -412,7 +427,7 @@ def _batch_received_samples(
     by the window generator's helpers; no timing offset)."""
     s = np.empty((batch, config.n_data), dtype=np.complex128)
     draw_block_data(dataclasses.replace(config, n_tx=1), [rng], s)
-    taps = draw_channel(profile, 1, batch, rng).taps[:, 0]
+    taps = draw_channel(profile, 1, batch, rng)[:, 0]
     out = np.empty((batch, ks.size), dtype=np.complex128)
     for col, k in enumerate(ks):
         acc = np.zeros(batch, dtype=np.complex128)
@@ -457,6 +472,7 @@ def run_moment_validation(
         raise ConfigError("need at least one sample index")
     if np.any(ks < 0) or np.any(ks >= config.block_len):
         raise ConfigError(f"sample indices must lie in [0, {config.block_len - 1}]")
+    _reject_repeats("sample indices", ks.tolist())
     scaled = scale_mixture_to_snr(mixture, config.signal_power, snr_db)
     vp = variance_profile_h0(config, profile)
 

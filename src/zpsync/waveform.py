@@ -76,15 +76,6 @@ class SystemConfig:
         return self.n_blocks * self.block_len
 
 
-@dataclass(frozen=True, eq=False)
-class OfdmBlock:
-    """One transmitted block: ``block_len`` samples whose tail is exactly zero."""
-
-    samples: np.ndarray
-    antenna: int
-    block_index: int
-
-
 def _validate_mod_order(m: int) -> None:
     b = int(m).bit_length() - 1
     if m < 4 or (1 << b) != m:
@@ -153,36 +144,24 @@ def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
         out *= np.sqrt(config.n_data * per_antenna)
 
 
-def generate_block(
-    config: SystemConfig,
-    antenna: int,
-    block_index: int,
-    rng: np.random.Generator,
-) -> OfdmBlock:
-    """Generate one transmitted block for the given antenna.
+def generate_block(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Generate one transmitted block: ``block_len`` samples whose tail is
+    exactly zero.
 
     Data samples are an inverse DFT of i.i.d. QAM points (see
-    :func:`draw_block_data`); the zero pad is exact.
+    :func:`draw_block_data`); the zero pad is exact. Every transmit antenna
+    draws its blocks alike, at power signal_power / n_tx.
     """
-    if not 0 <= antenna < config.n_tx:
-        raise ConfigError(f"antenna {antenna} out of range for n_tx={config.n_tx}")
     samples = np.zeros(config.block_len, dtype=np.complex128)
     draw_block_data(config, [rng], samples[None, : config.n_data])
-    return OfdmBlock(samples=samples, antenna=antenna, block_index=block_index)
+    return samples
 
 
-def generate_frame(
-    config: SystemConfig,
-    antenna: int,
-    n_blocks: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def generate_frame(config: SystemConfig, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
     """Concatenate ``n_blocks`` consecutive blocks into one sample vector."""
     if n_blocks < 1:
         raise ConfigError("n_blocks must be >= 1")
-    return np.concatenate(
-        [generate_block(config, antenna, n, rng).samples for n in range(n_blocks)]
-    )
+    return np.concatenate([generate_block(config, rng) for _ in range(n_blocks)])
 
 
 def write_iq_f64(samples: np.ndarray, path) -> None:

@@ -18,7 +18,6 @@ from zpsync.channel import (
     STREAM_CHANNEL,
     STREAM_NOISE,
     STREAM_SIGNAL,
-    ChannelRealization,
     _pcg64_seeds,
     _seeded,
     build_stream,
@@ -64,21 +63,21 @@ class TestDelayProfile:
 class TestDrawChannel:
     def test_single_tap_power(self, rng):
         profile = DelayProfile(np.array([1.0]))
-        taps = draw_channel(profile, 1, 1, rng).taps.ravel()
-        more = np.concatenate([draw_channel(profile, 10, 10, rng).taps.ravel() for _ in range(1000)])
+        taps = draw_channel(profile, 1, 1, rng).ravel()
+        more = np.concatenate([draw_channel(profile, 10, 10, rng).ravel() for _ in range(1000)])
         power = np.mean(np.abs(np.concatenate([taps, more])) ** 2)
         assert power == pytest.approx(1.0, rel=0.02)
 
     def test_tap_power_profile(self, rng):
         profile = DelayProfile.exponential(1.0, 0.5, 4)
-        taps = draw_channel(profile, 40, 50, rng).taps.reshape(-1, 4)
+        taps = draw_channel(profile, 40, 50, rng).reshape(-1, 4)
         np.testing.assert_allclose(
             np.mean(np.abs(taps) ** 2, axis=0), profile.powers, rtol=0.1
         )
 
     def test_iq_parts_balanced(self, rng):
         profile = DelayProfile(np.array([2.0]))
-        taps = draw_channel(profile, 100, 100, rng).taps.ravel()
+        taps = draw_channel(profile, 100, 100, rng).ravel()
         assert np.var(taps.real) == pytest.approx(1.0, rel=0.05)
         assert np.var(taps.imag) == pytest.approx(1.0, rel=0.05)
 
@@ -216,17 +215,17 @@ class TestScaleMixtureToSnr:
             scale_mixture_to_snr(NoiseMixture.gaussian(), 1.0, float("-inf"))
 
 
-def _identity_channel(n_taps: int, n_tx: int = 1, n_rx: int = 1) -> ChannelRealization:
+def _identity_channel(n_taps: int, n_tx: int = 1, n_rx: int = 1) -> np.ndarray:
     taps = np.zeros((n_rx, n_tx, n_taps), dtype=np.complex128)
     taps[:, :, 0] = 1.0
-    return ChannelRealization(taps=taps)
+    return taps
 
 
 class TestConvolveFrame:
     def test_blocks_never_interfere(self, rng):
         # zeroing one block's data changes only that block's span
         cfg = SystemConfig(n_data=32, n_zero=8, n_taps=8, n_blocks=3, mod_order=16)
-        frame = np.concatenate([generate_block(cfg, 0, n, rng).samples for n in range(3)])
+        frame = np.concatenate([generate_block(cfg, rng) for _ in range(3)])
         taps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         modified = frame.copy()
         modified[40:72] = 0.0  # block 1 data region
@@ -240,7 +239,7 @@ class TestConvolveFrame:
 
     def test_matches_toeplitz_product(self, rng):
         cfg = SystemConfig(n_data=16, n_zero=6, n_taps=4, n_blocks=1, mod_order=16)
-        block = generate_block(cfg, 0, 0, rng).samples
+        block = generate_block(cfg, rng)
         taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         n_s = block.size
         toeplitz = np.zeros((n_s, n_s), dtype=np.complex128)
@@ -260,7 +259,7 @@ def per_block_stream(config, profile, mixture, seed, d_pad):
     frames = [
         np.concatenate(
             [
-                generate_block(config, i, n, substream(*seed, STREAM_SIGNAL, i, n)).samples
+                generate_block(config, substream(*seed, STREAM_SIGNAL, i, n))
                 for n in range(n_gen)
             ]
         )
@@ -270,7 +269,7 @@ def per_block_stream(config, profile, mixture, seed, d_pad):
     for j in range(config.n_rx):
         sig = np.zeros(n_gen * n_s, dtype=np.complex128)
         for i in range(config.n_tx):
-            sig += convolve_frame(frames[i], channel.taps[j, i])
+            sig += convolve_frame(frames[i], channel[j, i])
         noise = [draw_noise(mixture, d_pad, substream(*seed, STREAM_NOISE, j, 0))]
         noise += [
             draw_noise(mixture, n_s, substream(*seed, STREAM_NOISE, j, n + 1))
@@ -313,7 +312,7 @@ class TestBuildStreamBitExact:
         config, profile, mixture, seed, d_pad = case
         stream, channel = build_stream(config, profile, mixture, seed, d_pad)
         ref_stream, ref_channel = per_block_stream(config, profile, mixture, seed, d_pad)
-        np.testing.assert_array_equal(channel.taps, ref_channel.taps)
+        np.testing.assert_array_equal(channel, ref_channel)
         np.testing.assert_array_equal(stream, ref_stream)
 
     def test_equals_per_block_draws_at_paper_size(self, paper_config, sim_profile):
@@ -387,7 +386,7 @@ class TestWindowSeeds:
             derived = assemble_window(*args)
             handed = assemble_window(*args, seeds=row)
             np.testing.assert_array_equal(handed.samples, derived.samples)
-            np.testing.assert_array_equal(handed.channel.taps, derived.channel.taps)
+            np.testing.assert_array_equal(handed.channel, derived.channel)
 
 
 class TestAssembleWindow:
@@ -401,7 +400,7 @@ class TestAssembleWindow:
         )
         expected = np.concatenate(
             [
-                generate_block(cfg, 0, n, substream(*seed, STREAM_SIGNAL, 0, n)).samples
+                generate_block(cfg, substream(*seed, STREAM_SIGNAL, 0, n))
                 for n in range(2)
             ]
         )
@@ -417,7 +416,7 @@ class TestAssembleWindow:
         )
         frame = np.concatenate(
             [
-                generate_block(cfg, 0, n, substream(*seed, STREAM_SIGNAL, 0, n)).samples
+                generate_block(cfg, substream(*seed, STREAM_SIGNAL, 0, n))
                 for n in range(2)
             ]
         )
@@ -454,7 +453,7 @@ class TestAssembleWindow:
         scaled = scale_mixture_to_snr(impulsive_mixture, 1.0, 10.0)
         w0 = assemble_window(paper_config, sim_profile, scaled, 0, seed=(5, 9), d_pad=30)
         w1 = assemble_window(paper_config, sim_profile, scaled, 21, seed=(5, 9), d_pad=30)
-        np.testing.assert_array_equal(w0.channel.taps, w1.channel.taps)
+        np.testing.assert_array_equal(w0.channel, w1.channel)
 
     def test_mimo_window_shape(self, sim_profile, impulsive_mixture):
         cfg = SystemConfig(n_tx=2, n_rx=3, n_blocks=2)

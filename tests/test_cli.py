@@ -478,3 +478,43 @@ def test_workers_flag_only_on_sweeps(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--preset", "fig2", "--snr", "10,10"], "snr_db values must not repeat"),
+        (
+            ["simulate", "--preset", "fig5", "--antennas", "1x1,1X1"],
+            "antennas values must not repeat",
+        ),
+        (["simulate", "--preset", "fig2", "--estimators", "aml,aml"], "estimators must not repeat"),
+        (
+            ["sensitivity", "--preset", "fig7", "--alphas", "0.5,0.5"],
+            "pdp_alpha values must not repeat",
+        ),
+        (["validate-pdf", "--preset", "table1", "--k", "1,1"], "sample indices must not repeat"),
+    ],
+    ids=["snr", "antennas", "estimators", "alphas", "k"],
+)
+def test_repeated_sweep_value_estimator_or_k_exits_2(tmp_path, capsys, argv, message):
+    # each used to run the repeat twice, writing duplicate rows (or two
+    # k=1 rows over one hist_k1.csv) with exit 0
+    out = tmp_path / "o"
+    assert main([*argv, "--trials", "2", "--seed", "1", "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_delay_range_help_example_runs(tmp_path, capsys, monkeypatch):
+    # a bare "--delay-range -30:30" reads as an option to argparse, so the
+    # help shows the "=" form, and that form must run
+    monkeypatch.setenv("COLUMNS", "200")  # keep the example on one help line
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "--delay-range=-30:30" in capsys.readouterr().out
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig4", "--estimators", "aml", "--snr", "10"]
+    assert main([*argv, "--delay-range=-30:30", "--trials", "1", "--seed", "1", "--out", str(out)]) == 0
+    spec = json.loads((out / "spec.json").read_text())["spec"]
+    assert (spec["d_min"], spec["d_max"]) == (-30, 30)

@@ -122,6 +122,14 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError):
             small_spec(values=())
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("snr_db", (12, 5.0, 12.0)), ("antennas", ([1, 2], (1, 2))), ("pdp_alpha", (0.0, 0))],
+    )
+    def test_repeated_axis_values_rejected(self, axis, values):
+        with pytest.raises(ConfigError, match=f"{axis} values must not repeat"):
+            small_spec(axis=axis, values=values)
+
     def test_reversed_range_rejected(self):
         with pytest.raises(ConfigError, match="empty hypothesis set"):
             small_spec(d_min=5, d_max=4)
@@ -279,7 +287,7 @@ class TestRunSweep:
 
         def assemble(*args, **kwargs):
             window = real_assemble(*args, **kwargs)
-            if window.seed[1] == 7:
+            if kwargs["seed"][1] == 7:
                 window.samples[0, 20] = bad
                 seen.append(window)
             return window
@@ -553,19 +561,24 @@ class TestRuntimeScaling:
             run_runtime_scaling(SMALL, sizes, trials=3)
 
     def test_caller_link_reaches_estimator(self, monkeypatch):
-        seen = []
-        original = harness.aml_estimate
+        profiles, mixtures = [], []
+        real_assemble, real_aml = harness.assemble_window, harness.aml_estimate
+
+        def assemble(config, profile, *args, **kwargs):
+            profiles.append(profile)
+            return real_assemble(config, profile, *args, **kwargs)
 
         def spy(window, vp, mixture, hyp):
-            seen.append((window.profile, mixture))
-            return original(window, vp, mixture, hyp)
+            mixtures.append(mixture)
+            return real_aml(window, vp, mixture, hyp)
 
+        monkeypatch.setattr(harness, "assemble_window", assemble)
         monkeypatch.setattr(harness, "aml_estimate", spy)
         run_runtime_scaling(
             SMALL, [1, 2, 3], trials=1, profile=SMALL_PROFILE, mixture=IMPULSIVE
         )
-        assert len(seen) == 3 * (1 + 3)  # warm-up calls included
-        for profile, mixture in seen:
-            assert profile is SMALL_PROFILE
+        assert len(profiles) == len(mixtures) == 3 * (1 + 3)  # warm-up calls included
+        assert all(profile is SMALL_PROFILE for profile in profiles)
+        for mixture in mixtures:
             np.testing.assert_array_equal(mixture.probs, IMPULSIVE.probs)
             assert mixture.variances[1] / mixture.variances[0] == pytest.approx(100.0)

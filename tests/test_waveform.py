@@ -46,21 +46,15 @@ class TestConstellation:
 
 class TestGenerateBlock:
     def test_zero_pad_exact(self, paper_config, rng):
-        block = generate_block(paper_config, 0, 0, rng)
-        assert block.samples.size == 532
-        assert np.all(block.samples[512:] == 0)
-        assert np.any(block.samples[:512] != 0)
-
-    def test_antenna_out_of_range(self, paper_config, rng):
-        with pytest.raises(ConfigError):
-            generate_block(paper_config, 1, 0, rng)
+        block = generate_block(paper_config, rng)
+        assert block.size == 532
+        assert np.all(block[512:] == 0)
+        assert np.any(block[:512] != 0)
 
     def test_power_calibration_siso(self, rng):
         # sample-moment oracle: mean |s|^2 over the data region -> signal_power
         cfg = SystemConfig(n_data=512, n_zero=20, signal_power=1.0)
-        samples = np.concatenate(
-            [generate_block(cfg, 0, i, rng).samples[:512] for i in range(250)]
-        )
+        samples = np.concatenate([generate_block(cfg, rng)[:512] for _ in range(250)])
         assert samples.size >= 100_000
         power = np.mean(np.abs(samples) ** 2)
         assert power == pytest.approx(1.0, rel=0.01)
@@ -68,18 +62,14 @@ class TestGenerateBlock:
     def test_power_split_two_antennas(self, rng):
         # total transmit power is held fixed, so each antenna radiates half
         cfg = SystemConfig(n_data=512, n_zero=20, n_tx=2, signal_power=1.0)
-        samples = np.concatenate(
-            [generate_block(cfg, a, i, rng).samples[:512] for i in range(125) for a in (0, 1)]
-        )
+        samples = np.concatenate([generate_block(cfg, rng)[:512] for _ in range(250)])
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(0.5, rel=0.01)
 
     def test_gaussian_source_power(self, rng):
         cfg = SystemConfig(gaussian_source=True, signal_power=2.0)
-        block = generate_block(cfg, 0, 0, rng)
-        assert np.all(block.samples[512:] == 0)
-        data = np.concatenate(
-            [generate_block(cfg, 0, i, rng).samples[:512] for i in range(250)]
-        )
+        block = generate_block(cfg, rng)
+        assert np.all(block[512:] == 0)
+        data = np.concatenate([generate_block(cfg, rng)[:512] for _ in range(250)])
         assert np.mean(np.abs(data) ** 2) == pytest.approx(2.0, rel=0.02)
 
     @pytest.mark.parametrize("n_tx", [1, 2])
@@ -89,18 +79,18 @@ class TestGenerateBlock:
         rng = np.random.default_rng(31)
         symbols = qam_constellation(16)[rng.integers(0, 16, size=64)]
         data = np.fft.ifft(symbols) * np.sqrt(64 * cfg.signal_power / n_tx)
-        block = generate_block(cfg, 0, 0, np.random.default_rng(31))
-        np.testing.assert_array_equal(block.samples, np.concatenate([data, np.zeros(8)]))
+        block = generate_block(cfg, np.random.default_rng(31))
+        np.testing.assert_array_equal(block, np.concatenate([data, np.zeros(8)]))
 
     def test_gaussian_source_matches_explicit_draws(self):
         cfg = SystemConfig(n_data=64, n_zero=8, n_taps=4, gaussian_source=True, signal_power=2.0)
         data = np.random.default_rng(32).standard_normal(128).view(np.complex128)
         data *= np.sqrt(cfg.signal_power / 2.0)
-        block = generate_block(cfg, 0, 0, np.random.default_rng(32))
-        np.testing.assert_array_equal(block.samples, np.concatenate([data, np.zeros(8)]))
+        block = generate_block(cfg, np.random.default_rng(32))
+        np.testing.assert_array_equal(block, np.concatenate([data, np.zeros(8)]))
 
     def test_whiteness_lag1(self, paper_config, rng):
-        data = generate_block(paper_config, 0, 0, rng).samples[:512]
+        data = generate_block(paper_config, rng)[:512]
         rho = np.abs(np.vdot(data[:-1], data[1:])) / np.vdot(data, data).real
         assert rho < 4 / np.sqrt(512)
 
@@ -145,24 +135,24 @@ class TestDrawBlockData:
 
 class TestGenerateFrame:
     def test_single_block_matches_generate_block(self, paper_config):
-        a = generate_frame(paper_config, 0, 1, np.random.default_rng(3))
-        b = generate_block(paper_config, 0, 0, np.random.default_rng(3)).samples
+        a = generate_frame(paper_config, 1, np.random.default_rng(3))
+        b = generate_block(paper_config, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
     def test_length_and_pad_positions(self, paper_config, rng):
-        frame = generate_frame(paper_config, 0, 3, rng)
+        frame = generate_frame(paper_config, 3, rng)
         assert frame.size == 3 * 532
         for start in (512, 1044, 1576):
             assert np.all(frame[start : start + 20] == 0)
 
     def test_deterministic_under_seed(self, paper_config):
-        a = generate_frame(paper_config, 0, 2, np.random.default_rng(99))
-        b = generate_frame(paper_config, 0, 2, np.random.default_rng(99))
+        a = generate_frame(paper_config, 2, np.random.default_rng(99))
+        b = generate_frame(paper_config, 2, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_blocks(self, paper_config, rng):
         with pytest.raises(ConfigError):
-            generate_frame(paper_config, 0, 0, rng)
+            generate_frame(paper_config, 0, rng)
 
 
 def test_iq_dump_round_trip(tmp_path, rng):
