@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (lock-in sweeps), ``validate-pdf`` (moment
 validation), ``sensitivity`` (the ``pdp_alpha`` sweep over delay-profile
 errors, run as ``simulate``) and ``profile`` (runtime scaling). Every run
-creates an output directory containing a manifest (written before any
-computation), result CSVs and a JSON sidecar with the full resolved
-experiment, so runs are reproducible from the output directory alone.
+whose settings pass their checks creates an output directory containing a
+manifest (written before any computation), result CSVs and a JSON sidecar
+with the full resolved experiment, so runs are reproducible from the output
+directory alone; a rejected run creates none.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -21,6 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .harness import (
+    check_moment_run,
+    check_scaling_run,
     histogram_to_csv,
     moments_to_csv,
     run_moment_validation,
@@ -38,7 +41,6 @@ from .presets import (
     load_preset,
     merge_settings,
     mixture_from_settings,
-    parse_antennas,
     profile_from_settings,
     spec_from_settings,
 )
@@ -141,7 +143,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         overrides["values"] = _number_list(args.blocks, int, "--blocks")
     if getattr(args, "antennas", None):
         overrides["axis"] = "antennas"
-        overrides["values"] = [parse_antennas(t) for t in args.antennas.split(",")]
+        overrides["values"] = args.antennas.split(",")
     if getattr(args, "delay_range", None):
         overrides["d_min"], overrides["d_max"] = _delay_range(args.delay_range)
     if getattr(args, "k", None):
@@ -161,7 +163,12 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, seed: int) -> None:
+def _start(args: argparse.Namespace, seed: int) -> Path:
+    """Create the output directory and write its manifest. Each command calls
+    this once its settings have passed every check, so a rejected run leaves
+    no directory behind."""
+    out_dir = Path(args.out) if args.out else Path("runs") / args.command
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
         "config": args.config,
@@ -173,10 +180,12 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, seed: int) -> None:
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    return out_dir
 
 
-def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
+def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int) -> int:
     spec = spec_from_settings(settings, master_seed=seed, workers=args.workers)
+    out_dir = _start(args, seed)
     report = run_sweep(spec)
     sweep_to_csv(report, out_dir / "sweep.csv")
     sweep_to_json(report, out_dir / "spec.json")
@@ -191,15 +200,20 @@ def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int, out_dir: 
     return EXIT_OK
 
 
-def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
+def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config = config_from_settings(settings)
+    profile = profile_from_settings(settings, config.n_taps)
+    mixture = mixture_from_settings(settings)
+    trials = int(settings.get("trials", 100000))
+    check_moment_run(config, settings["ks"], trials)
+    out_dir = _start(args, seed)
     report = run_moment_validation(
         config=config,
-        profile=profile_from_settings(settings, config.n_taps),
-        mixture=mixture_from_settings(settings),
+        profile=profile,
+        mixture=mixture,
         snr_db=float(settings.get("snr_db", config.snr_db)),
         sample_indices=settings["ks"],
-        trials=int(settings.get("trials", 100000)),
+        trials=trials,
         master_seed=seed,
     )
     moments_to_csv(report, out_dir / "moments.csv")
@@ -215,15 +229,20 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int, out_d
     return EXIT_OK
 
 
-def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int, out_dir: Path) -> int:
+def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config = config_from_settings(settings)
+    profile = profile_from_settings(settings, config.n_taps)
+    mixture = mixture_from_settings(settings)
+    trials = int(settings.get("trials", 10))
+    check_scaling_run(settings["sizes"], trials)
+    out_dir = _start(args, seed)
     report = run_runtime_scaling(
         config=config,
         multipliers=settings["sizes"],
-        trials=int(settings.get("trials", 10)),
+        trials=trials,
         master_seed=seed,
-        profile=profile_from_settings(settings, config.n_taps),
-        mixture=mixture_from_settings(settings),
+        profile=profile,
+        mixture=mixture,
     )
     scaling_to_csv(report, out_dir / "scaling.csv")
     for row in report.rows:
@@ -252,10 +271,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         settings = _resolve_settings(args)
         seed = args.seed if args.seed is not None else secrets.randbits(32)
-        out_dir = Path(args.out) if args.out else Path("runs") / args.command
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out_dir, args, seed)
-        return _COMMANDS[args.command](args, settings, seed, out_dir)
+        return _COMMANDS[args.command](args, settings, seed)
     except (ConfigError, ConfigFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

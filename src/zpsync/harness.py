@@ -217,11 +217,24 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return clean(dataclasses.asdict(spec))
 
 
+# the base fields that ``_apply_axis`` replaces at every point of each axis
+_AXIS_REPLACES = {
+    "snr_db": (("config", "snr_db"),),
+    "n_blocks": (("config", "n_blocks"),),
+    "antennas": (("config", "n_tx"), ("config", "n_rx")),
+    "p0": (("mixture", "probs"),),
+    "pdp_alpha": (),
+}
+
+
 def spec_hash(spec: ExperimentSpec) -> str:
-    """Hash of what determines the results: serial and parallel runs of one
-    spec give identical reports, so ``workers`` is left out."""
+    """Hash of what determines the results. Serial and parallel runs of one
+    spec give identical reports, so ``workers`` is left out, as are the base
+    fields that the sweep axis replaces at every point."""
     fields = spec_to_dict(spec)
     del fields["workers"]
+    for part, name in _AXIS_REPLACES[spec.axis]:
+        del fields[part][name]
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -269,10 +282,11 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
     """Outcomes of the given trials at one sweep point, ``_SEED_GROUP``
     trials at a time.
 
-    Each estimator scores from a plan built once per point, or once per
-    trial on the ``pdp_alpha`` axis, where the assumed profile changes per
-    trial. A-ML scores each window as it is built. WED and ED keep only each
-    window's energy prefix and score the whole group at its end.
+    Each estimator scores from a plan built once per point. On the
+    ``pdp_alpha`` axis, where the assumed profile changes per trial, the
+    plans that read it (A-ML's and WED's) are built once per trial. A-ML
+    scores each window as it is built. WED and ED keep only each window's
+    energy prefix and score the whole group at its end.
     """
     config, profile, mixture = _apply_axis(spec, value)
     scaled = _scale_for_point(spec, config, mixture)
@@ -285,10 +299,8 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
         "ed": lambda vp: ed_plan(config, hyp, m),
     }
 
-    def plans(vp):
-        return {est: build[est](vp) for est in spec.estimators}
-
-    point_plans = plans(variance_profile_h0(config, profile))
+    vp = variance_profile_h0(config, profile)
+    point_plans = {est: build[est](vp) for est in spec.estimators}
     energy = [est for est in spec.estimators if est != "aml"]
     prefix = np.empty((min(_SEED_GROUP, len(trial_indices)), m + 1))
 
@@ -306,7 +318,11 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
                 rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
                 signs = rng.integers(0, 2, size=config.n_taps) * 2 - 1
                 vp = variance_profile_h0(config, profile.perturbed(float(value), signs))
-                trial_plans = plans(vp)
+                # ED's plan reads no profile, so it stays the point's
+                trial_plans = {
+                    est: build[est](vp) if est != "ed" else plan
+                    for est, plan in point_plans.items()
+                }
             group_plans.append(trial_plans)
             samples = assemble_window(
                 config, profile, scaled, d_true[-1], seed=(spec.master_seed, t), d_pad=d_pad,
@@ -440,6 +456,20 @@ def _batch_received_samples(
     return out
 
 
+def check_moment_run(config: SystemConfig, sample_indices, trials: int) -> np.ndarray:
+    """The block positions of a moment validation run as an int array, after
+    checking them and the trial count; raises :class:`ConfigError`."""
+    if trials < 2:
+        raise ConfigError("moment validation needs at least 2 trials: one sample has no spread")
+    ks = np.asarray(list(sample_indices), dtype=int)
+    if ks.size == 0:
+        raise ConfigError("need at least one sample index")
+    if np.any(ks < 0) or np.any(ks >= config.block_len):
+        raise ConfigError(f"sample indices must lie in [0, {config.block_len - 1}]")
+    _reject_repeats("sample indices", ks.tolist())
+    return ks
+
+
 def run_moment_validation(
     config: SystemConfig,
     profile: DelayProfile,
@@ -463,16 +493,9 @@ def run_moment_validation(
     follow the Freedman-Diaconis rule and are recorded so plots can be
     rebuilt from the data alone.
     """
-    if trials < 2:
-        raise ConfigError("moment validation needs at least 2 trials: one sample has no spread")
+    ks = check_moment_run(config, sample_indices, trials)
     if batch < 1:
         raise ConfigError("batch must be >= 1")
-    ks = np.asarray(list(sample_indices), dtype=int)
-    if ks.size == 0:
-        raise ConfigError("need at least one sample index")
-    if np.any(ks < 0) or np.any(ks >= config.block_len):
-        raise ConfigError(f"sample indices must lie in [0, {config.block_len - 1}]")
-    _reject_repeats("sample indices", ks.tolist())
     scaled = scale_mixture_to_snr(mixture, config.signal_power, snr_db)
     vp = variance_profile_h0(config, profile)
 
@@ -548,6 +571,17 @@ class RuntimeScalingReport:
     loglog_slope: float  # fitted on per-size minima: scheduler noise only adds time
 
 
+def check_scaling_run(multipliers, trials: int) -> list[int]:
+    """The block-length multipliers of a runtime scaling run as ints, after
+    checking them and the trial count; raises :class:`ConfigError`."""
+    multipliers = [int(s) for s in multipliers]
+    if len(set(multipliers)) < 3 or min(multipliers) < 1:
+        raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    return multipliers
+
+
 def run_runtime_scaling(
     config: SystemConfig,
     multipliers,
@@ -564,11 +598,7 @@ def run_runtime_scaling(
     scale); they default to a normalized exponential profile and Gaussian
     noise. The mixture is scaled to ``config.snr_db``. The sizes take turns
     within each trial; each size keeps its own window seeds."""
-    multipliers = [int(s) for s in multipliers]
-    if len(set(multipliers)) < 3 or min(multipliers) < 1:
-        raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    multipliers = check_scaling_run(multipliers, trials)
     hyp = HypothesisSet(0, 30)
     if profile is None:
         profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)

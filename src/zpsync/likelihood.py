@@ -254,13 +254,10 @@ def loglik_cells(
     scales = np.repeat(scales[cell_class].T, 2, axis=1)
     offsets = np.repeat(offsets[cell_class].T, 2, axis=1)
     acc = np.empty_like(z2)
-    if mixture.n_components == 1:
-        _fold_components(z2, scales, offsets, acc)
-    else:
-        # the gather is private and the last term is its last reader, so with
-        # two components that term overwrites it: one buffer fewer
-        term = z2 if mixture.n_components == 2 else np.empty_like(z2)
-        _fold_components(z2, scales, offsets, acc, term, np.empty_like(z2))
+    # the gather is private and the last term is its last reader, so with
+    # two components that term overwrites it: one buffer fewer
+    term = z2 if mixture.n_components == 2 else np.empty_like(z2)
+    _fold_components(z2, scales, offsets, acc, term, np.empty_like(z2))
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = acc.reshape(acc.shape[:-1] + (n_cells, 2))
     out = np.add(parts[0, ..., 0], parts[0, ..., 1])

@@ -1,13 +1,14 @@
 """Flat key/value experiment configuration and the named presets.
 
-Config files hold one ``key = value`` pair per line with TOML-style scalars
-(quoted strings, numbers, booleans, flat lists). Named presets ship as data
-files next to this module, one per canned experiment; command-line flags
-override file values.
+Config files are flat TOML documents (top-level ``key = value`` pairs of
+strings, numbers, booleans and lists), read with the standard library's
+``tomllib``. Named presets ship as data files next to this module, one per
+canned experiment; command-line flags override file values.
 """
 
 from __future__ import annotations
 
+import tomllib
 from importlib import resources
 from pathlib import Path
 
@@ -65,60 +66,28 @@ class ConfigFileError(ConfigError):
     """Config file problem; carries file and line context."""
 
 
-def _parse_scalar(token: str, where: str):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigFileError(f"{where}: cannot parse value {token!r}") from None
-
-
-def _split_unquoted(text: str, sep: str) -> list[str]:
-    """Split ``text`` at every ``sep`` that lies outside double quotes."""
-    parts, start, quoted = [], 0, False
-    for pos, char in enumerate(text):
-        if char == '"':
-            quoted = not quoted
-        elif char == sep and not quoted:
-            parts.append(text[start:pos])
-            start = pos + 1
-    parts.append(text[start:])
-    return parts
-
-
 def parse_flat_config(text: str, source: str = "<config>") -> dict:
-    """Parse a flat key/value config document.
+    """Parse a flat TOML config document: known top-level keys only, each
+    with a value of its expected type.
 
-    ``#`` starts a comment and ``,`` separates list items, except inside a
-    double-quoted string."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _split_unquoted(raw, "#")[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if "=" not in line:
-            raise ConfigFileError(f"{where}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    Errors name the file and, for a bare key, the line that assigns it."""
+    lines: dict = {}  # bare key -> the lines that assign it
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key, eq, _ = line.partition("=")
+        if eq and key.strip().isidentifier():
+            lines.setdefault(key.strip(), []).append(lineno)
+    try:
+        out = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        # tomllib's message gives the line but not the key set twice
+        repeated = [f"{key!r} on lines {at}" for key, at in lines.items() if len(at) > 1]
+        note = "; repeated: " + ", ".join(repeated) if repeated else ""
+        raise ConfigFileError(f"{source}: cannot parse: {exc}{note}") from None
+    for key, value in out.items():
+        where = f"{source}:{lines[key][0]}" if key in lines else source
         if key not in _KEY_TYPES:
             raise ConfigFileError(f"{where}: unknown key {key!r}")
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            items = [t for t in (s.strip() for s in _split_unquoted(inner, ",")) if t]
-            out[key] = [_parse_scalar(t, where) for t in items]
-        else:
-            out[key] = _parse_scalar(value, where)
-        _check_type(key, out[key], where)
+        _check_type(key, value, where)
     return out
 
 
@@ -214,8 +183,6 @@ def spec_from_settings(settings: dict, master_seed: int, workers: int = 1) -> Ex
 
 def parse_antennas(token) -> tuple[int, int]:
     """Parse an antenna pair like '2x2' into (n_tx, n_rx)."""
-    if isinstance(token, (tuple, list)) and len(token) == 2:
-        return int(token[0]), int(token[1])
     parts = str(token).lower().split("x")
     try:
         n_tx, n_rx = map(int, parts)

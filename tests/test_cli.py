@@ -311,17 +311,39 @@ def test_sweep_value_of_wrong_kind_exits_2(tmp_path, capsys, preset, axis, value
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate-pdf", "--preset", "fig2"],
-        ["profile", "--preset", "fig2"],
-    ],
-)
+# a rejected run, and the error it reports; each of the last five used to
+# leave a directory holding only manifest.json
+_REJECTED_RUNS = {
+    ("validate-pdf", "--preset", "fig2"): "validate-pdf needs --",
+    ("profile", "--preset", "fig2"): "profile needs --",
+    ("simulate", "--preset", "fig2", "--snr", "10,10"): "snr_db values must not repeat",
+    ("simulate", "--preset", "fig3", "--blocks", "2,2"): "n_blocks values must not repeat",
+    ("validate-pdf", "--preset", "table1", "--k", "1,1"): "sample indices must not repeat",
+    ("validate-pdf", "--preset", "table1", "--k", "1", "--trials", "1"): (
+        "moment validation needs at least 2 trials"
+    ),
+    ("profile", "--preset", "fig4", "--sizes", "1,1,2"): "need at least 3 distinct sizes",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in _REJECTED_RUNS])
 def test_missing_required_list_leaves_no_output(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
-    assert f"error: {argv[0]} needs --" in capsys.readouterr().err
+    assert f"error: {_REJECTED_RUNS[tuple(argv)]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    # the old parser kept the last value: this ran 20 trials with exit 0
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text("trials = 10\ntrials = 20\n")
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig4", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: cannot parse" in err
+    assert "'trials' on lines [1, 2]" in err
     assert not out.exists()
 
 

@@ -150,6 +150,35 @@ class TestExperimentSpecValidation:
         assert payload["config_hash"] == spec_hash(serial)
         assert payload["spec"]["workers"] == 4
 
+    @pytest.mark.parametrize(
+        "axis, values, base",
+        [
+            ("snr_db", (12.0, 20.0), dict(config=dataclasses.replace(SMALL, snr_db=3.0))),
+            ("n_blocks", (2, 3), dict(config=dataclasses.replace(SMALL, n_blocks=5))),
+            ("antennas", ((1, 1), (1, 2)), dict(config=dataclasses.replace(SMALL, n_tx=2, n_rx=2))),
+            ("p0", (0.9, 0.99), dict(mixture=NoiseMixture.impulsive(0.5, 1.0, 100.0))),
+        ],
+    )
+    def test_hash_ignores_base_fields_the_axis_replaces(self, axis, values, base):
+        # every point replaces these fields, so two such specs give identical
+        # reports and must share a hash
+        a = small_spec(axis=axis, values=values, trials=4)
+        b = small_spec(axis=axis, values=values, trials=4, **base)
+        decisions = [
+            {v: [(o.d_true, o.d_hat) for o in outcomes] for v, outcomes in report.items()}
+            for report in (run_sweep(s, keep_outcomes=True).outcomes for s in (a, b))
+        ]
+        assert decisions[0] == decisions[1]
+        assert spec_hash(a) == spec_hash(b)
+
+    def test_hash_keeps_base_fields_that_points_read(self):
+        # the pdp_alpha axis replaces no base field: the SNR still counts
+        a = small_spec(axis="pdp_alpha", values=(0.0, 0.3))
+        b = small_spec(
+            axis="pdp_alpha", values=(0.0, 0.3), config=dataclasses.replace(SMALL, snr_db=3.0)
+        )
+        assert spec_hash(a) != spec_hash(b)
+
 
 class TestRunSweep:
     def test_deterministic_reports(self):

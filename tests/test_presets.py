@@ -36,3 +36,32 @@ class TestParseFlatConfig:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_parse(self, name):
         assert load_preset(name)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["noise = = 3", 'noise = "gaussian', "n_blocks = 007", "snr_db = 1.", "snr_db = .5",
+         "snr_db = Infinity", "snr_db = NaN"],
+    )
+    def test_syntax_error_names_file_and_line(self, line):
+        # leading zeros, bare-dot floats and capitalised specials are not TOML
+        with pytest.raises(ConfigFileError, match=r"^exp\.toml: cannot parse: .*at line 2, column"):
+            parse_flat_config(f"trials = 10\n{line}\n", source="exp.toml")
+
+    def test_repeated_key_rejected(self):
+        # the old parser kept the last value silently
+        text = "trials = 10\nnoise = 'gaussian'\ntrials = 20\n"
+        repeated = r"^exp\.toml: cannot parse: .*'trials' on lines \[1, 3\]"
+        with pytest.raises(ConfigFileError, match=repeated):
+            parse_flat_config(text, source="exp.toml")
+
+    def test_multiline_list_and_literal_string(self):
+        text = "values = [\n  0,\n  5,  # dB\n]\nnoise = 'gaussian'\n"
+        assert parse_flat_config(text) == {"values": [0, 5], "noise": "gaussian"}
+        # errors still name the line that assigns the key
+        with pytest.raises(ConfigFileError, match=r"^exp\.toml:6: 'trials' must be int"):
+            parse_flat_config(text + "trials = 'many'\n", source="exp.toml")
+
+    @pytest.mark.parametrize("line", ['"colour" = 3', "colour.shade = 3", "[colour]"])
+    def test_unknown_key_without_a_bare_assignment_names_the_file(self, line):
+        with pytest.raises(ConfigFileError, match=r"^exp\.toml: unknown key 'colour'"):
+            parse_flat_config(f"trials = 10\n{line}\n", source="exp.toml")
