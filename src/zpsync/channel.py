@@ -227,8 +227,8 @@ class DelayProfile:
         object.__setattr__(self, "powers", powers)
         if powers.ndim != 1 or powers.size == 0:
             raise ConfigError("delay profile must be a non-empty 1-D vector")
-        if np.any(powers < 0) or not np.any(powers > 0):
-            raise ConfigError("tap powers must be >= 0 with at least one > 0")
+        if not (np.all((powers >= 0) & (powers < np.inf)) and np.any(powers > 0)):
+            raise ConfigError(f"tap powers must be finite, >= 0 and not all 0, got {powers}")
 
     @classmethod
     def exponential(
@@ -278,10 +278,13 @@ class NoiseMixture:
         object.__setattr__(self, "variances", variances)
         if probs.shape != variances.shape or probs.ndim != 1 or probs.size == 0:
             raise ConfigError("mixture needs matching 1-D probs and variances")
-        if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ConfigError("component probabilities must be positive and sum to 1")
-        if np.any(variances <= 0):
-            raise ConfigError("component variances must be strictly positive")
+        # written so that NaN fails each test
+        if not (np.all(probs > 0) and abs(probs.sum() - 1.0) <= 1e-12):
+            raise ConfigError(f"component probabilities must be positive and sum to 1, got {probs}")
+        if not np.all((variances > 0) & (variances < np.inf)):
+            raise ConfigError(
+                f"component variances must be finite and strictly positive, got {variances}"
+            )
 
     @classmethod
     def gaussian(cls, variance: float = 1.0) -> "NoiseMixture":
@@ -306,14 +309,24 @@ class NoiseMixture:
         return float(np.dot(self.probs, self.variances))
 
 
+def noise_power(signal_power: float, snr_db: float) -> float:
+    """The noise power signal_power * 10**(-snr_db / 10) of an SNR; raises
+    :class:`ConfigError` unless it is finite and positive."""
+    try:
+        power = signal_power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # 10.0 ** x past the largest float
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ConfigError(f"snr_db = {snr_db} gives noise power {power}, not finite and positive")
+    return power
+
+
 def scale_mixture_to_snr(
     mixture: NoiseMixture, signal_power: float, snr_db: float
 ) -> NoiseMixture:
     """Rescale all component variances by one factor so the average noise
-    power equals signal_power * 10**(-snr_db / 10); weights are unchanged."""
-    if not math.isfinite(snr_db):
-        raise ConfigError("snr_db must be finite")
-    target = signal_power * 10.0 ** (-snr_db / 10.0)
+    power equals :func:`noise_power`; weights are unchanged."""
+    target = noise_power(signal_power, snr_db)
     return NoiseMixture(mixture.probs, mixture.variances * (target / mixture.avg_power))
 
 

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .channel import scale_mixture_to_snr
 from .harness import (
     check_moment_run,
     check_scaling_run,
@@ -51,7 +52,8 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _number_list(text: str, convert, flag: str) -> list:
+def _comma_list(text: str, convert, flag: str) -> list:
+    """The items of a comma list, blank ones skipped."""
     try:
         return [convert(t) for t in text.split(",") if t.strip()]
     except ValueError:
@@ -114,6 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each list flag: the setting it gives, its item type, and the sweep axis it
+# selects (None for a list that is not a sweep axis)
+_LIST_FLAGS = {
+    "snr": ("values", float, "snr_db"),
+    "blocks": ("values", int, "n_blocks"),
+    "antennas": ("values", str, "antennas"),
+    "k": ("ks", int, None),
+    "alphas": ("alphas", float, None),
+    "sizes": ("sizes", int, None),
+}
+
 # the list setting each of these commands cannot run without, and its flag
 _REQUIRED_LISTS = {
     "validate-pdf": ("ks", "--k"),
@@ -135,23 +148,17 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         overrides["noise"] = args.noise
     if getattr(args, "estimators", None):
         overrides["estimators"] = args.estimators.split(",")
-    if getattr(args, "snr", None):
-        overrides["axis"] = "snr_db"
-        overrides["values"] = _number_list(args.snr, float, "--snr")
-    if getattr(args, "blocks", None):
-        overrides["axis"] = "n_blocks"
-        overrides["values"] = _number_list(args.blocks, int, "--blocks")
-    if getattr(args, "antennas", None):
-        overrides["axis"] = "antennas"
-        overrides["values"] = args.antennas.split(",")
     if getattr(args, "delay_range", None):
         overrides["d_min"], overrides["d_max"] = _delay_range(args.delay_range)
-    if getattr(args, "k", None):
-        overrides["ks"] = _number_list(args.k, int, "--k")
-    if getattr(args, "alphas", None):
-        overrides["alphas"] = _number_list(args.alphas, float, "--alphas")
-    if getattr(args, "sizes", None):
-        overrides["sizes"] = _number_list(args.sizes, int, "--sizes")
+    given = [flag for flag in _LIST_FLAGS if getattr(args, flag, None)]
+    axis_flags = [f"--{flag}" for flag in given if _LIST_FLAGS[flag][2]]
+    if len(axis_flags) > 1:
+        raise ConfigError(f"a run sweeps one axis: give one of {', '.join(axis_flags)}")
+    for flag in given:
+        key, item, axis = _LIST_FLAGS[flag]
+        overrides[key] = _comma_list(getattr(args, flag), item, f"--{flag}")
+        if axis:
+            overrides["axis"] = axis
     settings = merge_settings(*layers, overrides)
     if args.command in _REQUIRED_LISTS:
         key, flag = _REQUIRED_LISTS[args.command]
@@ -200,10 +207,17 @@ def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> int:
+def _link(settings: dict) -> tuple:
+    """The link of a ``validate-pdf`` or ``profile`` run, checked to have a
+    finite positive noise power at its SNR."""
     config = config_from_settings(settings)
-    profile = profile_from_settings(settings, config.n_taps)
     mixture = mixture_from_settings(settings)
+    scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
+    return config, profile_from_settings(settings, config.n_taps), mixture
+
+
+def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> int:
+    config, profile, mixture = _link(settings)
     trials = int(settings.get("trials", 100000))
     check_moment_run(config, settings["ks"], trials)
     out_dir = _start(args, seed)
@@ -211,7 +225,7 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
         config=config,
         profile=profile,
         mixture=mixture,
-        snr_db=float(settings.get("snr_db", config.snr_db)),
+        snr_db=config.snr_db,
         sample_indices=settings["ks"],
         trials=trials,
         master_seed=seed,
@@ -230,9 +244,7 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
 
 
 def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
-    config = config_from_settings(settings)
-    profile = profile_from_settings(settings, config.n_taps)
-    mixture = mixture_from_settings(settings)
+    config, profile, mixture = _link(settings)
     trials = int(settings.get("trials", 10))
     check_scaling_run(settings["sizes"], trials)
     out_dir = _start(args, seed)

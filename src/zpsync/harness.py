@@ -33,6 +33,7 @@ from .channel import (
     assemble_window,
     draw_channel,
     draw_noise,
+    noise_power,
     scale_mixture_to_snr,
     substream,
     window_seeds,
@@ -84,13 +85,12 @@ _AXIS_VALUES = {
 SWEEP_AXES = tuple(_AXIS_VALUES)
 ESTIMATOR_IDS = ("aml", "wed", "ed")
 
-Z_95 = 1.959963984540054
 
-
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    z = 1.959963984540054  # the normal distribution's 97.5% quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -147,6 +147,10 @@ class ExperimentSpec:
             [tuple(v) if isinstance(v, list) else v for v in self.values],
         )
         HypothesisSet(self.d_min, self.d_max).validate_against(self.config.block_len)
+        # every point's noise power must be finite and positive
+        for value in self.values:
+            config, _, mixture = _apply_axis(self, value)
+            _scale_for_point(self, config, mixture)
 
 
 @dataclass(frozen=True)
@@ -202,19 +206,9 @@ class SweepReport:
         raise KeyError((axis_value, estimator))
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    def clean(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.integer, np.floating)):
-            return obj.item()
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-
-    return clean(dataclasses.asdict(spec))
+def _to_json(obj):
+    """json's ``default=`` hook for the numpy arrays and scalars of a spec."""
+    return obj.tolist()
 
 
 # the base fields that ``_apply_axis`` replaces at every point of each axis
@@ -231,11 +225,11 @@ def spec_hash(spec: ExperimentSpec) -> str:
     """Hash of what determines the results. Serial and parallel runs of one
     spec give identical reports, so ``workers`` is left out, as are the base
     fields that the sweep axis replaces at every point."""
-    fields = spec_to_dict(spec)
+    fields = dataclasses.asdict(spec)
     del fields["workers"]
     for part, name in _AXIS_REPLACES[spec.axis]:
         del fields[part][name]
-    blob = json.dumps(fields, sort_keys=True).encode()
+    blob = json.dumps(fields, sort_keys=True, default=_to_json).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -266,7 +260,7 @@ def _scale_for_point(spec: ExperimentSpec, config: SystemConfig, mixture: NoiseM
     the nominal noise floor and invert the trend under study.
     """
     if spec.axis == "p0":
-        target = config.signal_power * 10.0 ** (-config.snr_db / 10.0)
+        target = noise_power(config.signal_power, config.snr_db)
         return NoiseMixture(
             mixture.probs, mixture.variances * (target / float(mixture.variances[0]))
         )
@@ -420,8 +414,6 @@ class MomentReport:
     rows: tuple[MomentRow, ...]
     histograms: dict  # k -> dict(edges, counts, centers, analytic_pdf)
     trials: int
-    snr_db: float
-    master_seed: int
 
     def row(self, k: int) -> MomentRow:
         for r in self.rows:
@@ -546,13 +538,7 @@ def run_moment_validation(
             "centers": centers,
             "analytic_pdf": b_function(centers, float(vp.body[k]), scaled),
         }
-    return MomentReport(
-        rows=tuple(rows),
-        histograms=histograms,
-        trials=trials,
-        snr_db=float(snr_db),
-        master_seed=master_seed,
-    )
+    return MomentReport(rows=tuple(rows), histograms=histograms, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -678,10 +664,10 @@ def sweep_to_json(report: SweepReport, path) -> None:
         "version": __version__,
         "master_seed": report.spec.master_seed,
         "config_hash": report.config_hash,
-        "spec": spec_to_dict(report.spec),
+        "spec": dataclasses.asdict(report.spec),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_to_json)
 
 
 def moments_to_csv(report: MomentReport, path) -> None:

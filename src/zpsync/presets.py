@@ -9,6 +9,7 @@ canned experiment; command-line flags override file values.
 from __future__ import annotations
 
 import tomllib
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -27,21 +28,13 @@ _INT = (int,)
 _FLOAT = (int, float)
 _BOOL = (bool,)
 _STR = (str,)
+# the link keys are SystemConfig's fields, typed from its annotations
 _CONFIG_KEYS = {
-    "n_data": _INT,
-    "n_zero": _INT,
-    "n_taps": _INT,
-    "n_blocks": _INT,
-    "n_tx": _INT,
-    "n_rx": _INT,
-    "mod_order": _INT,
-    "signal_power": _FLOAT,
-    "snr_db": _FLOAT,
-    "gaussian_source": _BOOL,
+    name: {int: _INT, float: _FLOAT, bool: _BOOL}[kind]
+    for name, kind in typing.get_type_hints(SystemConfig).items()
 }
 _KEY_TYPES = {
     **_CONFIG_KEYS,
-    "command": _STR,
     "axis": _STR,
     "values": [_FLOAT + _STR],
     "trials": _INT,
@@ -50,11 +43,8 @@ _KEY_TYPES = {
     "d_max": _INT,
     "noise": _STR,
     "p0": _FLOAT,
-    "var_nominal": _FLOAT,
     "var_impulse": _FLOAT,
-    "pdp_scale": _FLOAT,
     "pdp_decay": _FLOAT,
-    "pdp_normalized": _BOOL,
     "pdp_powers": [_FLOAT],
     "ks": [_INT],
     "alphas": [_FLOAT],
@@ -118,39 +108,33 @@ def load_preset(name: str) -> dict:
 
 
 def merge_settings(*layers: dict) -> dict:
-    """Later layers override earlier ones; None values never override."""
-    merged: dict = {}
-    for layer in layers:
-        for key, value in layer.items():
-            if value is not None:
-                merged[key] = value
-    return merged
+    """Later layers override earlier ones."""
+    return {key: value for layer in layers for key, value in layer.items()}
 
 
 def config_from_settings(settings: dict) -> SystemConfig:
-    kwargs = {k: settings[k] for k in _CONFIG_KEYS if k in settings}
-    return SystemConfig(**kwargs)
+    return SystemConfig(**{k: settings[k] for k in _CONFIG_KEYS if k in settings})
 
 
 def profile_from_settings(settings: dict, n_taps: int) -> DelayProfile:
+    """The tap powers of ``pdp_powers`` as given, or else an exponential
+    profile of decay ``pdp_decay`` normalized to unit total power."""
     if "pdp_powers" in settings:
         return DelayProfile(np.asarray(settings["pdp_powers"], dtype=float))
-    return DelayProfile.exponential(
-        scale=float(settings.get("pdp_scale", 1.0)),
-        decay=float(settings.get("pdp_decay", 0.05)),
-        n_taps=n_taps,
-        normalized=bool(settings.get("pdp_normalized", True)),
-    )
+    decay = float(settings.get("pdp_decay", 0.05))
+    return DelayProfile.exponential(1.0, decay, n_taps, normalized=True)
 
 
 def mixture_from_settings(settings: dict) -> NoiseMixture:
+    """The base noise mixture. Every run rescales it to its SNR, so it is
+    shaped only by ``p0`` and ``var_impulse``, the ratio of impulse power to
+    nominal power."""
     kind = settings.get("noise", "impulsive")
     if kind == "gaussian":
-        return NoiseMixture.gaussian(float(settings.get("var_nominal", 1.0)))
+        return NoiseMixture.gaussian()
     if kind == "impulsive":
         return NoiseMixture.impulsive(
             p_nominal=float(settings.get("p0", 0.99)),
-            var_nominal=float(settings.get("var_nominal", 1.0)),
             var_impulse=float(settings.get("var_impulse", 100.0)),
         )
     raise ConfigFileError(f"noise must be 'gaussian' or 'impulsive', got {kind!r}")

@@ -60,8 +60,8 @@ class SystemConfig:
             raise ConfigError("antenna counts must be >= 1")
         if not self.gaussian_source:
             _validate_mod_order(self.mod_order)
-        if not (self.signal_power > 0):
-            raise ConfigError("signal_power must be positive")
+        if not 0 < self.signal_power < np.inf:
+            raise ConfigError(f"signal_power must be finite and positive, got {self.signal_power}")
         if not np.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite")
 

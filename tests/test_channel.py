@@ -22,6 +22,7 @@ from zpsync.channel import (
     _seeded,
     build_stream,
     convolve_frame,
+    noise_power,
     substream,
     window_seeds,
 )
@@ -37,6 +38,14 @@ class TestDelayProfile:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             DelayProfile(np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN tap used to pass and surface as non-finite window samples
+        with pytest.raises(ConfigError, match="tap powers must be finite"):
+            DelayProfile(np.array([bad, 1.0, 1.0]))
+        with pytest.raises(ConfigError, match="tap powers must be finite"):
+            DelayProfile.exponential(bad, 0.05, 4)
 
     def test_exponential_sum_matches_geometric_series(self):
         # independent oracle: alpha * (1 - e^(-n b)) / (1 - e^(-b))
@@ -90,6 +99,20 @@ class TestNoiseMixture:
     def test_variances_strictly_positive(self):
         with pytest.raises(ConfigError):
             NoiseMixture(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(p_nominal=np.nan), "probabilities must be positive and sum to 1"),
+            (dict(var_impulse=np.nan), "variances must be finite and strictly positive"),
+            (dict(var_impulse=np.inf), "variances must be finite and strictly positive"),
+            (dict(var_nominal=np.nan), "variances must be finite and strictly positive"),
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs, message):
+        # NaN used to pass every comparison and fail only in the first window
+        with pytest.raises(ConfigError, match=message):
+            NoiseMixture.impulsive(**kwargs)
 
     def test_single_component_collapses_to_gaussian(self, rng):
         mixture = NoiseMixture.gaussian(2.0)
@@ -213,6 +236,19 @@ class TestScaleMixtureToSnr:
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ConfigError):
             scale_mixture_to_snr(NoiseMixture.gaussian(), 1.0, float("-inf"))
+
+    @pytest.mark.parametrize(
+        "signal_power, snr_db, power",
+        [(1.0, -4000.0, "inf"), (1.0, 4000.0, "0.0"), (1e300, -100.0, "inf"), (1.0, np.nan, "nan")],
+    )
+    def test_rejects_snr_without_finite_positive_noise_power(self, signal_power, snr_db, power):
+        # -4000 dB raised OverflowError; 4000 dB gave zero variances, caught
+        # only as the mixture was built
+        message = f"snr_db = {snr_db} gives noise power {power}, not finite and positive"
+        with pytest.raises(ConfigError, match=message):
+            noise_power(signal_power, snr_db)
+        with pytest.raises(ConfigError, match=message):
+            scale_mixture_to_snr(NoiseMixture.impulsive(), signal_power, snr_db)
 
 
 def _identity_channel(n_taps: int, n_tx: int = 1, n_rx: int = 1) -> np.ndarray:

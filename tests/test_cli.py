@@ -311,8 +311,10 @@ def test_sweep_value_of_wrong_kind_exits_2(tmp_path, capsys, preset, axis, value
     assert not (out / "sweep.csv").exists()
 
 
-# a rejected run, and the error it reports; each of the last five used to
-# leave a directory holding only manifest.json
+# a rejected run, and the error it reports. From the third on, each used to
+# leave a directory holding only manifest.json (--snr=-4000 with exit 1 and an
+# OverflowError), except two axis flags, which ran the last flag's sweep with
+# exit 0
 _REJECTED_RUNS = {
     ("validate-pdf", "--preset", "fig2"): "validate-pdf needs --",
     ("profile", "--preset", "fig2"): "profile needs --",
@@ -323,6 +325,14 @@ _REJECTED_RUNS = {
         "moment validation needs at least 2 trials"
     ),
     ("profile", "--preset", "fig4", "--sizes", "1,1,2"): "need at least 3 distinct sizes",
+    ("simulate", "--preset", "fig2", "--snr=-4000"): "snr_db = -4000.0 gives noise power inf",
+    ("simulate", "--preset", "fig2", "--snr=4000"): "snr_db = 4000.0 gives noise power 0.0",
+    ("simulate", "--preset", "fig2", "--snr", "0,10", "--blocks", "2"): (
+        "a run sweeps one axis: give one of --snr, --blocks"
+    ),
+    ("simulate", "--preset", "fig5", "--blocks", "2", "--antennas", "2x2"): (
+        "a run sweeps one axis: give one of --blocks, --antennas"
+    ),
 }
 
 
@@ -332,6 +342,65 @@ def test_missing_required_list_leaves_no_output(tmp_path, capsys, argv):
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
     assert f"error: {_REJECTED_RUNS[tuple(argv)]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a run given a config file whose link it cannot run, and the error it
+# reports; each passed every check made before the output directory, then
+# failed mid-run and left a directory holding only manifest.json (validate-pdf
+# at -4000 dB exited 1 with an OverflowError)
+_REJECTED_CONFIGS = {
+    ("simulate", "fig2", "p0 = nan"): "component probabilities must be positive and sum to 1",
+    ("simulate", "fig2", "var_impulse = nan"): "component variances must be finite",
+    ("simulate", "fig2", "var_impulse = inf"): "component variances must be finite",
+    ("simulate", "fig2", "signal_power = inf"): "signal_power must be finite and positive",
+    ("simulate", "fig2", "n_taps = 4\npdp_powers = [nan, 1.0, 1.0, 1.0]"): (
+        "tap powers must be finite"
+    ),
+    ("simulate", "fig6", "snr_db = 4000"): "snr_db = 4000 gives noise power 0.0",
+    ("validate-pdf", "table1", "snr_db = -4000"): "snr_db = -4000 gives noise power inf",
+    ("profile", "fig4", "snr_db = 4000"): "snr_db = 4000 gives noise power 0.0",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(_REJECTED_CONFIGS), ids=lambda case: " ".join(case).replace("\n", "; ")
+)
+def test_rejected_config_leaves_no_output(tmp_path, capsys, case):
+    command, preset, text = case
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "o"
+    argv = [command, "--preset", preset, "--config", str(cfg), "--trials", "2"]
+    argv += {"validate-pdf": ["--k", "1"], "profile": ["--sizes", "1,2,4"]}.get(command, [])
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert f"error: {_REJECTED_CONFIGS[case]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['command = "simulate"', "var_nominal = 2.0", "pdp_scale = 2.0", "pdp_normalized = false"],
+)
+def test_deleted_config_key_exits_2(tmp_path, capsys, line):
+    # no result read these: every run scales the noise to its SNR (only the
+    # impulse-to-nominal ratio var_impulse counts), exponential profiles are
+    # normalized, and the command comes from the command line
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(f"trials = 2\n{line}\n")
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig4", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    key = line.partition(" ")[0]
+    assert f"error: {cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_blank_list_items_are_skipped(tmp_path):
+    # blank antenna items used to reach the pair parser and exit 2
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig5", "--antennas", "1x1,,2x2,", "--trials", "2"]
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+    assert [row["value"] for row in read_rows(out / "sweep.csv")] == ["1x1", "2x2"]
 
 
 def test_repeated_config_key_exits_2(tmp_path, capsys):

@@ -532,9 +532,7 @@ class TestMomentSamplerBitExact:
         ):
             ref = run_moment_validation(*args)
         assert report.rows == ref.rows
-        assert (report.trials, report.snr_db, report.master_seed) == (
-            ref.trials, ref.snr_db, ref.master_seed
-        )
+        assert report.trials == ref.trials
         assert report.histograms.keys() == ref.histograms.keys()
         for k, hist in ref.histograms.items():
             assert report.histograms[k].keys() == hist.keys()

@@ -1,6 +1,21 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from zpsync.presets import PRESET_NAMES, ConfigFileError, load_preset, parse_flat_config
+from zpsync import presets
+from zpsync.harness import spec_hash
+from zpsync.presets import (
+    PRESET_NAMES,
+    ConfigFileError,
+    config_from_settings,
+    load_preset,
+    mixture_from_settings,
+    parse_flat_config,
+    profile_from_settings,
+    spec_from_settings,
+)
+from zpsync.waveform import SystemConfig
 
 
 class TestParseFlatConfig:
@@ -13,7 +28,7 @@ class TestParseFlatConfig:
         }
 
     def test_hash_inside_quotes_is_kept(self):
-        assert parse_flat_config('command = "sim#ulate"') == {"command": "sim#ulate"}
+        assert parse_flat_config('noise = "gaus#sian"') == {"noise": "gaus#sian"}
 
     def test_hash_inside_quoted_list_item_is_kept(self):
         text = 'values = ["1x1", "2#2"]  # antenna pairs'
@@ -65,3 +80,56 @@ class TestParseFlatConfig:
     def test_unknown_key_without_a_bare_assignment_names_the_file(self, line):
         with pytest.raises(ConfigFileError, match=r"^exp\.toml: unknown key 'colour'"):
             parse_flat_config(f"trials = 10\n{line}\n", source="exp.toml")
+
+
+class TestLinkKeys:
+    def test_link_keys_are_system_config_fields(self):
+        assert list(presets._CONFIG_KEYS) == [f.name for f in dataclasses.fields(SystemConfig)]
+
+    @pytest.mark.parametrize(
+        "line, ok",
+        [("n_taps = 4", True), ("n_taps = 4.0", False), ("n_taps = true", False),
+         ("signal_power = 2", True), ("signal_power = 2.5", True), ("signal_power = true", False),
+         ("gaussian_source = true", True), ("gaussian_source = 1", False)],
+    )
+    def test_link_key_types_follow_the_annotations(self, line, ok):
+        if ok:
+            assert parse_flat_config(line)
+        else:
+            with pytest.raises(ConfigFileError, match="must be"):
+                parse_flat_config(line)
+
+
+# each sweep preset's config_hash at master seed 7, fig7 as the pdp_alpha
+# sweep that `sensitivity` runs: the schema may change, these runs may not
+_PRESET_HASHES = {
+    "fig2": "07d14c48eef36487",
+    "fig3": "ab0b9e08b6b8e428",
+    "fig4": "554e6efe0918e602",
+    "fig5": "3df76d32f1cd4d41",
+    "fig6": "e3c45ebde135a5f7",
+    "fig7": "b3097457549d419d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_HASHES))
+def test_preset_config_hash_is_pinned(name):
+    settings = load_preset(name)
+    if name == "fig7":
+        settings = dict(settings, axis="pdp_alpha", values=settings["alphas"])
+    assert spec_hash(spec_from_settings(settings, master_seed=7)) == _PRESET_HASHES[name]
+
+
+def test_table1_link_is_pinned():
+    settings = load_preset("table1")
+    config = config_from_settings(settings)
+    assert config == SystemConfig(
+        n_data=512, n_zero=20, n_taps=10, n_blocks=1, n_tx=1, n_rx=1, mod_order=128,
+        signal_power=1.0, snr_db=15, gaussian_source=False,
+    )
+    powers = np.exp(-0.05 * np.arange(10))
+    np.testing.assert_array_equal(
+        profile_from_settings(settings, config.n_taps).powers, powers / powers.sum()
+    )
+    mixture = mixture_from_settings(settings)
+    assert (mixture.probs.tolist(), mixture.variances.tolist()) == ([1.0], [1.0])

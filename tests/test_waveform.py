@@ -28,6 +28,12 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("power", [float("inf"), float("nan")])
+    def test_non_finite_signal_power_rejected(self, power):
+        # an infinite signal power used to pass and fail mid-run
+        with pytest.raises(ConfigError, match="signal_power must be finite and positive"):
+            SystemConfig(signal_power=power)
+
 
 class TestConstellation:
     @pytest.mark.parametrize("m", [4, 16, 32, 64, 128, 256])
