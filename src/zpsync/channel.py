@@ -238,6 +238,8 @@ class DelayProfile:
 
         With ``normalized=True`` the powers are rescaled to sum to exactly 1.
         """
+        if not math.isfinite(decay):
+            raise ConfigError(f"profile decay must be finite, got {decay}")
         powers = scale * np.exp(-decay * np.arange(n_taps, dtype=float))
         if normalized:
             powers = powers / powers.sum()

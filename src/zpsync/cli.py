@@ -122,6 +122,7 @@ _LIST_FLAGS = {
     "snr": ("values", float, "snr_db"),
     "blocks": ("values", int, "n_blocks"),
     "antennas": ("values", str, "antennas"),
+    "estimators": ("estimators", str, None),
     "k": ("ks", int, None),
     "alphas": ("alphas", float, None),
     "sizes": ("sizes", int, None),
@@ -146,8 +147,6 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         overrides["trials"] = args.trials
     if getattr(args, "noise", None):
         overrides["noise"] = args.noise
-    if getattr(args, "estimators", None):
-        overrides["estimators"] = args.estimators.split(",")
     if getattr(args, "delay_range", None):
         overrides["d_min"], overrides["d_max"] = _delay_range(args.delay_range)
     given = [flag for flag in _LIST_FLAGS if getattr(args, flag, None)]

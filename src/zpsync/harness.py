@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -69,20 +70,22 @@ def _reject_repeats(what: str, items) -> None:
         seen.add(item)
 
 
-# what a value of each sweep axis must be: (check, description)
-_AXIS_VALUES = {
-    "snr_db": (lambda v: _is_real(v) and math.isfinite(v), "finite reals"),
-    "n_blocks": (lambda v: _is_int(v) and v >= 1, "ints >= 1"),
-    "antennas": (
-        lambda v: isinstance(v, (tuple, list))
-        and len(v) == 2
-        and all(_is_int(n) and n >= 1 for n in v),
-        "pairs of ints >= 1",
+# each sweep axis: the check its values pass, their description in error
+# messages, and the base (part, field) pairs that its points replace
+_AXES = {
+    "snr_db": (
+        lambda v: _is_real(v) and math.isfinite(v), "finite reals", (("config", "snr_db"),)
     ),
-    "p0": (lambda v: _is_real(v) and 0 < v < 1, "reals in (0, 1)"),
-    "pdp_alpha": (lambda v: _is_real(v) and 0 <= v < 1, "reals in [0, 1)"),
+    "n_blocks": (lambda v: _is_int(v) and v >= 1, "ints >= 1", (("config", "n_blocks"),)),
+    "antennas": (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_int(n) and n >= 1 for n in v),
+        "pairs of ints >= 1",
+        (("config", "n_tx"), ("config", "n_rx")),
+    ),
+    "p0": (lambda v: _is_real(v) and 0 < v < 1, "reals in (0, 1)", (("mixture", "probs"),)),
+    "pdp_alpha": (lambda v: _is_real(v) and 0 <= v < 1, "reals in [0, 1)", ()),
 }
-SWEEP_AXES = tuple(_AXIS_VALUES)
+SWEEP_AXES = tuple(_AXES)
 ESTIMATOR_IDS = ("aml", "wed", "ed")
 
 
@@ -115,6 +118,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # antenna pairs given as lists are stored as tuples, so that every
+        # point is a hashable key labelled like '2x2'
+        values = tuple(tuple(v) if isinstance(v, list) else v for v in self.values)
+        object.__setattr__(self, "values", values)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
         if len(self.values) == 0:
@@ -135,22 +142,17 @@ class ExperimentSpec:
             raise ConfigError("wed requires single-component Gaussian noise")
         if self.axis == "p0" and self.mixture.n_components != 2:
             raise ConfigError("p0 sweep needs a two-component base mixture")
-        check, wanted = _AXIS_VALUES[self.axis]
+        check, wanted, _ = _AXES[self.axis]
         for value in self.values:
             if not check(value):
                 raise ConfigError(f"{self.axis} values must be {wanted}, got {value!r}")
-        # a repeat would run twice under one outcomes key: 10 equals 10.0,
-        # and an antenna list equals its tuple
+        # a repeat would run twice under one outcomes key: 10 equals 10.0
         _reject_repeats("estimators", self.estimators)
-        _reject_repeats(
-            f"{self.axis} values",
-            [tuple(v) if isinstance(v, list) else v for v in self.values],
-        )
+        _reject_repeats(f"{self.axis} values", self.values)
         HypothesisSet(self.d_min, self.d_max).validate_against(self.config.block_len)
         # every point's noise power must be finite and positive
         for value in self.values:
-            config, _, mixture = _apply_axis(self, value)
-            _scale_for_point(self, config, mixture)
+            _point_link(self, value)
 
 
 @dataclass(frozen=True)
@@ -211,31 +213,36 @@ def _to_json(obj):
     return obj.tolist()
 
 
-# the base fields that ``_apply_axis`` replaces at every point of each axis
-_AXIS_REPLACES = {
-    "snr_db": (("config", "snr_db"),),
-    "n_blocks": (("config", "n_blocks"),),
-    "antennas": (("config", "n_tx"), ("config", "n_rx")),
-    "p0": (("mixture", "probs"),),
-    "pdp_alpha": (),
-}
-
-
 def spec_hash(spec: ExperimentSpec) -> str:
     """Hash of what determines the results. Serial and parallel runs of one
     spec give identical reports, so ``workers`` is left out, as are the base
     fields that the sweep axis replaces at every point."""
     fields = dataclasses.asdict(spec)
     del fields["workers"]
-    for part, name in _AXIS_REPLACES[spec.axis]:
+    for part, name in _AXES[spec.axis][2]:
         del fields[part][name]
     blob = json.dumps(fields, sort_keys=True, default=_to_json).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _apply_axis(spec: ExperimentSpec, value):
-    """Configuration actually used for one sweep point."""
-    config, profile, mixture = spec.config, spec.profile, spec.mixture
+def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture]:
+    """The link configuration and SNR-scaled noise mixture of one sweep point.
+
+    The impulsiveness sweep anchors the nominal component to the SNR instead
+    of the mixture average, so changing p0 changes only how often impulses
+    occur; average-power anchoring would make growing impulsiveness *lower*
+    the nominal noise floor and invert the trend under study.
+
+    The ``pdp_alpha`` axis changes neither: it perturbs only the profile the
+    estimators assume (each tap by 1 +/- alpha, signs drawn per trial in
+    ``_run_trials``); the true channel is unchanged.
+    """
+    config, mixture = spec.config, spec.mixture
+    if spec.axis == "p0":
+        p0 = float(value)
+        target = noise_power(config.signal_power, config.snr_db)
+        variances = mixture.variances * (target / float(mixture.variances[0]))
+        return config, NoiseMixture(np.array([p0, 1.0 - p0]), variances)
     if spec.axis == "snr_db":
         config = dataclasses.replace(config, snr_db=float(value))
     elif spec.axis == "n_blocks":
@@ -243,28 +250,7 @@ def _apply_axis(spec: ExperimentSpec, value):
     elif spec.axis == "antennas":
         n_tx, n_rx = value
         config = dataclasses.replace(config, n_tx=int(n_tx), n_rx=int(n_rx))
-    elif spec.axis == "p0":
-        p0 = float(value)
-        mixture = NoiseMixture(np.array([p0, 1.0 - p0]), mixture.variances)
-    # pdp_alpha perturbs only the profile assumed by the estimator (each tap
-    # by 1 +/- alpha, signs drawn per trial); the true channel is unchanged
-    return config, profile, mixture
-
-
-def _scale_for_point(spec: ExperimentSpec, config: SystemConfig, mixture: NoiseMixture) -> NoiseMixture:
-    """SNR scaling for one sweep point.
-
-    The impulsiveness sweep anchors the nominal component to the SNR instead
-    of the mixture average, so changing p0 changes only how often impulses
-    occur; average-power anchoring would make growing impulsiveness *lower*
-    the nominal noise floor and invert the trend under study.
-    """
-    if spec.axis == "p0":
-        target = noise_power(config.signal_power, config.snr_db)
-        return NoiseMixture(
-            mixture.probs, mixture.variances * (target / float(mixture.variances[0]))
-        )
-    return scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
+    return config, scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
 
 
 # trials whose window seeds are derived, and whose WED and ED scores are
@@ -282,8 +268,7 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
     scores each window as it is built. WED and ED keep only each window's
     energy prefix and score the whole group at its end.
     """
-    config, profile, mixture = _apply_axis(spec, value)
-    scaled = _scale_for_point(spec, config, mixture)
+    config, scaled = _point_link(spec, value)
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
     m = config.window_len
@@ -293,7 +278,7 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
         "ed": lambda vp: ed_plan(config, hyp, m),
     }
 
-    vp = variance_profile_h0(config, profile)
+    vp = variance_profile_h0(config, spec.profile)
     point_plans = {est: build[est](vp) for est in spec.estimators}
     energy = [est for est in spec.estimators if est != "aml"]
     prefix = np.empty((min(_SEED_GROUP, len(trial_indices)), m + 1))
@@ -311,7 +296,7 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
             if spec.axis == "pdp_alpha" and value > 0:
                 rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
                 signs = rng.integers(0, 2, size=config.n_taps) * 2 - 1
-                vp = variance_profile_h0(config, profile.perturbed(float(value), signs))
+                vp = variance_profile_h0(config, spec.profile.perturbed(float(value), signs))
                 # ED's plan reads no profile, so it stays the point's
                 trial_plans = {
                     est: build[est](vp) if est != "ed" else plan
@@ -319,8 +304,8 @@ def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome
                 }
             group_plans.append(trial_plans)
             samples = assemble_window(
-                config, profile, scaled, d_true[-1], seed=(spec.master_seed, t), d_pad=d_pad,
-                seeds=seeds[k],
+                config, spec.profile, scaled, d_true[-1], seed=(spec.master_seed, t),
+                d_pad=d_pad, seeds=seeds[k],
             ).samples
             check_finite(samples)
             if "aml" in trial_plans:
@@ -363,19 +348,15 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     """
     rows: list[PointResult] = []
     all_outcomes: dict = {}
+    workers = spec.workers
     pool_context = (
-        ProcessPoolExecutor(max_workers=spec.workers)
-        if spec.workers > 1
-        else contextlib.nullcontext()
+        ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     )
     with pool_context as pool:
         for value in spec.values:
-            if pool is not None:
-                parts = _chunks(spec.trials, spec.workers * 4)
-                futures = [pool.submit(_run_trials, spec, value, part) for part in parts]
-                outcomes = [o for f in futures for o in f.result()]
-            else:
-                outcomes = _run_trials(spec, value, range(spec.trials))
+            parts = _chunks(spec.trials, 4 * workers if pool else 1)
+            run = functools.partial(_run_trials, spec, value)
+            outcomes = [o for part in (pool.map if pool else map)(run, parts) for o in part]
             for est in spec.estimators:
                 successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
                 ci_lo, ci_hi = wilson_interval(successes, spec.trials)

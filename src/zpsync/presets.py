@@ -120,7 +120,10 @@ def profile_from_settings(settings: dict, n_taps: int) -> DelayProfile:
     """The tap powers of ``pdp_powers`` as given, or else an exponential
     profile of decay ``pdp_decay`` normalized to unit total power."""
     if "pdp_powers" in settings:
-        return DelayProfile(np.asarray(settings["pdp_powers"], dtype=float))
+        profile = DelayProfile(np.asarray(settings["pdp_powers"], dtype=float))
+        if profile.n_taps != n_taps:
+            raise ConfigError(f"profile has {profile.n_taps} taps but config expects {n_taps}")
+        return profile
     decay = float(settings.get("pdp_decay", 0.05))
     return DelayProfile.exponential(1.0, decay, n_taps, normalized=True)
 
@@ -147,9 +150,7 @@ def spec_from_settings(settings: dict, master_seed: int, workers: int = 1) -> Ex
     if values is None:
         raise ConfigFileError("sweep needs 'values' (the axis points)")
     if axis == "antennas":
-        values = tuple(parse_antennas(v) for v in values)
-    else:
-        values = tuple(values)
+        values = [parse_antennas(v) for v in values]
     return ExperimentSpec(
         config=config,
         profile=profile_from_settings(settings, config.n_taps),

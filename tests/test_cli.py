@@ -359,6 +359,12 @@ _REJECTED_CONFIGS = {
     ("simulate", "fig6", "snr_db = 4000"): "snr_db = 4000 gives noise power 0.0",
     ("validate-pdf", "table1", "snr_db = -4000"): "snr_db = -4000 gives noise power inf",
     ("profile", "fig4", "snr_db = 4000"): "snr_db = 4000 gives noise power 0.0",
+    ("simulate", "fig2", "pdp_powers = [1.0, 1.0, 1.0, 1.0]"): (
+        "profile has 4 taps but config expects 10"
+    ),
+    ("validate-pdf", "table1", "pdp_powers = [1.0, 1.0, 1.0, 1.0]"): (
+        "profile has 4 taps but config expects 10"
+    ),
 }
 
 
@@ -401,6 +407,32 @@ def test_blank_list_items_are_skipped(tmp_path):
     argv = ["simulate", "--preset", "fig5", "--antennas", "1x1,,2x2,", "--trials", "2"]
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
     assert [row["value"] for row in read_rows(out / "sweep.csv")] == ["1x1", "2x2"]
+
+
+def test_blank_estimator_items_are_skipped(tmp_path):
+    # --estimators was split outside the list-flag table: 'wed,' exited 2
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig4", "--estimators", "wed,,ed,", "--trials", "2"]
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+    assert {row["estimator"] for row in read_rows(out / "sweep.csv")} == {"wed", "ed"}
+
+
+def test_non_finite_decay_exits_2_without_a_numpy_warning(tmp_path):
+    # numpy used to print "invalid value encountered in multiply" first
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text("pdp_decay = -inf\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig2", "--config", str(cfg), "--trials", "2",
+            "--seed", "1", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "zpsync", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "error: profile decay must be finite, got -inf" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert not out.exists()
 
 
 def test_repeated_config_key_exits_2(tmp_path, capsys):

@@ -60,6 +60,15 @@ FIG7_PERTURBED = {
     },
 }
 
+# fig6 (impulsive, 0 dB) at three nominal weights: each point anchors the
+# nominal component to the SNR, so only the impulse rate changes
+FIG6_D_TRUE = [-26, -7, 12, -5, -1, -14, -11, 11, 10, -25]
+FIG6_IMPULSIVENESS = {
+    0.9: {"d_true": FIG6_D_TRUE, "aml": [-28, -8, 11, -1, 1, -13, -11, 10, 8, -27]},
+    0.99: {"d_true": FIG6_D_TRUE, "aml": [-28, -8, 11, -4, 1, -12, -11, 10, 8, -27]},
+    0.999: {"d_true": FIG6_D_TRUE, "aml": [-27, -9, 11, -3, 1, -12, -11, 10, 8, -27]},
+}
+
 # fig4 (Gaussian) WED and ED at two block counts: ED reads the zero tail of
 # each of the n_blocks blocks in the window
 FIG4_D_TRUE = [2, 12, 21, 12, 14, 8, 9, 21, 20, 2]
@@ -122,6 +131,11 @@ def test_fig7_perturbed_profiles_10db():
         "fig7", {"axis": "pdp_alpha", "values": sorted(FIG7_PERTURBED), "snr_db": 10}
     )
     assert got == FIG7_PERTURBED
+
+
+def test_fig6_impulsiveness_points():
+    got = _decisions("fig6", {"values": sorted(FIG6_IMPULSIVENESS)})
+    assert got == FIG6_IMPULSIVENESS
 
 
 @pytest.mark.parametrize("n_blocks", sorted(FIG4_ENERGY))

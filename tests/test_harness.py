@@ -130,6 +130,18 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError, match=f"{axis} values must not repeat"):
             small_spec(axis=axis, values=values)
 
+    def test_antenna_pairs_given_as_lists(self):
+        # list pairs used to reach the outcomes as unhashable keys, the CSV
+        # as '[1, 1]' and lock_in's lookup as a list that equals no tuple
+        spec = small_spec(axis="antennas", values=([1, 1], [1, 2]), trials=3)
+        assert spec.values == ((1, 1), (1, 2))
+        as_tuples = small_spec(axis="antennas", values=((1, 1), (1, 2)), trials=3)
+        assert spec_hash(spec) == spec_hash(as_tuples)
+        report = run_sweep(spec, keep_outcomes=True)
+        assert list(report.outcomes) == [(1, 1), (1, 2)]
+        assert 0.0 <= report.lock_in((1, 1)) <= 1.0
+        assert [row.value_label for row in report.rows] == ["1x1", "1x2"]  # sweep.csv's labels
+
     def test_reversed_range_rejected(self):
         with pytest.raises(ConfigError, match="empty hypothesis set"):
             small_spec(d_min=5, d_max=4)
@@ -236,18 +248,23 @@ class TestRunSweep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        values = (6.0, 12.0)
-        serial = run_sweep(small_spec(trials=12, values=values), keep_outcomes=True)
-        parallel = run_sweep(small_spec(trials=12, values=values, workers=2), keep_outcomes=True)
-        assert len(pools) == 1  # one pool for the whole sweep, not one per value
-        assert serial.rows[0].successes == parallel.rows[0].successes
-        assert serial.rows[0].lock_in == parallel.rows[0].lock_in
-        untimed = [dataclasses.replace(row, mean_ns=0.0) for row in serial.rows]
-        assert untimed == [dataclasses.replace(row, mean_ns=0.0) for row in parallel.rows]
-        for value in values:
-            assert [(o.trial_index, o.d_true, o.d_hat) for o in serial.outcomes[value]] == [
-                (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
-            ]
+        # every axis runs through one path: the SNR, the p0 link and the
+        # per-trial profile perturbation of pdp_alpha
+        specs = (
+            small_spec(trials=12, values=(6.0, 12.0)),
+            small_spec(trials=12, axis="p0", values=(0.9, 0.99)),
+            small_spec(trials=12, axis="pdp_alpha", values=(0.0, 0.4)),
+        )
+        for spec in specs:
+            serial = run_sweep(spec, keep_outcomes=True)
+            parallel = run_sweep(dataclasses.replace(spec, workers=2), keep_outcomes=True)
+            untimed = [dataclasses.replace(row, mean_ns=0.0) for row in serial.rows]
+            assert untimed == [dataclasses.replace(row, mean_ns=0.0) for row in parallel.rows]
+            for value in spec.values:
+                assert [(o.trial_index, o.d_true, o.d_hat) for o in serial.outcomes[value]] == [
+                    (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
+                ], (spec.axis, value)
+        assert len(pools) == len(specs)  # one pool per sweep, not one per value
 
     def test_seed_groups_leave_outcomes_unchanged(self, monkeypatch):
         # window seeds are derived, and WED and ED scored, a group of trials
