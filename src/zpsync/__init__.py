@@ -6,8 +6,9 @@ Library layout:
 - :mod:`zpsync.channel`    Rayleigh multipath, mixture noise, window assembly
 - :mod:`zpsync.likelihood` variance profile and per-sample likelihoods
 - :mod:`zpsync.estimators` approximate-ML, weighted-energy and energy detectors
-- :mod:`zpsync.harness`    Monte-Carlo sweeps, moment validation, runtime scaling
-- :mod:`zpsync.cli`        experiment runner
+- :mod:`zpsync.harness`    the engine: Monte-Carlo sweeps, moment validation and
+  runtime scaling, returned as reports
+- :mod:`zpsync.cli`        experiment runner; writes every file of a run directory
 """
 
 __version__ = "0.1.0"

@@ -240,7 +240,13 @@ class DelayProfile:
         """
         if not math.isfinite(decay):
             raise ConfigError(f"profile decay must be finite, got {decay}")
-        powers = scale * np.exp(-decay * np.arange(n_taps, dtype=float))
+        taps = np.arange(n_taps, dtype=float)
+        if normalized and decay < 0:
+            # count a rising profile's taps from its last, largest one, so
+            # that no exponent is positive and the sum cannot overflow
+            taps -= n_taps - 1
+        with np.errstate(over="ignore"):  # an exponent of -inf gives power 0
+            powers = scale * np.exp(-decay * taps)
         if normalized:
             powers = powers / powers.sum()
         return cls(powers)

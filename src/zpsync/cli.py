@@ -3,10 +3,17 @@
 Subcommands: ``simulate`` (lock-in sweeps), ``validate-pdf`` (moment
 validation), ``sensitivity`` (the ``pdp_alpha`` sweep over delay-profile
 errors, run as ``simulate``) and ``profile`` (runtime scaling). Every run
-whose settings pass their checks creates an output directory containing a
-manifest (written before any computation), result CSVs and a JSON sidecar
-with the full resolved experiment, so runs are reproducible from the output
-directory alone; a rejected run creates none.
+whose settings pass their checks creates an output directory; a rejected
+run creates none. This module writes every file in it, from the reports
+that :mod:`zpsync.harness` returns:
+
+- ``manifest.json``, before any computation: command, seed, version;
+- ``sweep.csv`` and ``spec.json`` (simulate, sensitivity): lock-in per point
+  and estimator, and the full resolved experiment with its ``config_hash``,
+  so a sweep is reproducible from its directory alone;
+- ``moments.csv`` and one ``hist_k<k>.csv`` per block position
+  (validate-pdf);
+- ``scaling.csv`` (profile).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -14,6 +21,8 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import datetime
 import json
 import secrets
@@ -23,17 +32,14 @@ from pathlib import Path
 from . import __version__
 from .channel import scale_mixture_to_snr
 from .harness import (
+    MomentRow,
+    _to_json,
     check_moment_run,
     check_scaling_run,
-    histogram_to_csv,
-    moments_to_csv,
     run_moment_validation,
     run_runtime_scaling,
     run_sweep,
-    scaling_to_csv,
     spec_hash,
-    sweep_to_csv,
-    sweep_to_json,
 )
 from .presets import (
     ConfigFileError,
@@ -169,6 +175,82 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Indented, with sorted keys and numpy arrays written as lists."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_to_json)
+
+
+def _value_label(value) -> str:
+    """A sweep value as ``sweep.csv`` and the printed table show it: antenna
+    pairs as '2x2'."""
+    if isinstance(value, tuple):
+        return "x".join(map(str, value))
+    return str(value)
+
+
+def _write_sweep(report, out_dir: Path) -> None:
+    _write_csv(
+        out_dir / "sweep.csv",
+        ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi", "mean_ns"],
+        (
+            [
+                report.spec.axis,
+                _value_label(row.axis_value),
+                row.estimator,
+                row.trials,
+                row.successes,
+                f"{row.lock_in:.6f}",
+                f"{row.ci_lo:.6f}",
+                f"{row.ci_hi:.6f}",
+                f"{row.mean_ns:.1f}",
+            ]
+            for row in report.rows
+        ),
+    )
+    sidecar = {
+        "version": __version__,
+        "master_seed": report.spec.master_seed,
+        "config_hash": report.config_hash,
+        "spec": dataclasses.asdict(report.spec),
+    }
+    _write_json(out_dir / "spec.json", sidecar)
+
+
+def _write_moments(report, out_dir: Path) -> None:
+    _write_csv(
+        out_dir / "moments.csv",
+        [f.name for f in dataclasses.fields(MomentRow)],
+        map(dataclasses.astuple, report.rows),
+    )
+    for k, hist in report.histograms.items():
+        edges = hist["edges"]
+        _write_csv(
+            out_dir / f"hist_k{k}.csv",
+            ["bin_lo", "bin_hi", "count", "analytic_pdf"],
+            zip(edges[:-1], edges[1:], map(int, hist["counts"]), hist["analytic_pdf"]),
+        )
+
+
+def _write_scaling(report, out_dir: Path) -> None:
+    _write_csv(
+        out_dir / "scaling.csv",
+        ["multiplier", "window_len", "aml_mean_ns", "ed_mean_ns", "aml_min_ns", "ed_min_ns"],
+        (
+            [r.multiplier, r.window_len]
+            + [f"{ns:.1f}" for ns in (r.aml_mean_ns, r.ed_mean_ns, r.aml_min_ns, r.ed_min_ns)]
+            for r in report.rows
+        ),
+    )
+
+
 def _start(args: argparse.Namespace, seed: int) -> Path:
     """Create the output directory and write its manifest. Each command calls
     this once its settings have passed every check, so a rejected run leaves
@@ -184,8 +266,7 @@ def _start(args: argparse.Namespace, seed: int) -> Path:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "manifest.json", manifest)
     return out_dir
 
 
@@ -193,13 +274,12 @@ def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int) -> int:
     spec = spec_from_settings(settings, master_seed=seed, workers=args.workers)
     out_dir = _start(args, seed)
     report = run_sweep(spec)
-    sweep_to_csv(report, out_dir / "sweep.csv")
-    sweep_to_json(report, out_dir / "spec.json")
+    _write_sweep(report, out_dir)
     print(f"config_hash={spec_hash(spec)} seed={seed}")
     print(f"{'value':>12} {'estimator':>9} {'lock_in':>8} {'ci_lo':>7} {'ci_hi':>7}")
     for row in report.rows:
         print(
-            f"{row.value_label:>12} {row.estimator:>9} {row.lock_in:8.4f}"
+            f"{_value_label(row.axis_value):>12} {row.estimator:>9} {row.lock_in:8.4f}"
             f" {row.ci_lo:7.4f} {row.ci_hi:7.4f}"
         )
     print(f"wrote {out_dir / 'sweep.csv'}")
@@ -229,9 +309,7 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
         trials=trials,
         master_seed=seed,
     )
-    moments_to_csv(report, out_dir / "moments.csv")
-    for k in report.histograms:
-        histogram_to_csv(report, k, out_dir / f"hist_k{k}.csv")
+    _write_moments(report, out_dir)
     print(f"{'k':>5} {'variance':>10} {'analytic':>10} {'skewness':>9} {'kurtosis':>9}")
     for row in report.rows:
         print(
@@ -255,7 +333,7 @@ def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
         profile=profile,
         mixture=mixture,
     )
-    scaling_to_csv(report, out_dir / "scaling.csv")
+    _write_scaling(report, out_dir)
     for row in report.rows:
         print(
             f"window_len={row.window_len:<8} aml={row.aml_mean_ns / 1e6:8.3f} ms"
@@ -286,7 +364,7 @@ def main(argv=None) -> int:
     except (ConfigError, ConfigFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,6 +1,7 @@
 """Monte-Carlo experiment engine: lock-in sweeps (delay-profile-error
 sensitivity is the ``pdp_alpha`` axis), moment validation, and runtime
-scaling.
+scaling. Each run returns a report and writes no file: :mod:`zpsync.cli`
+writes the run directory.
 
 Every random draw is derived from (master_seed, trial_index, purpose), so
 reports are bit-identical across reruns and worker scheduling. Within a
@@ -12,20 +13,19 @@ random numbers), which sharpens trend comparisons.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import functools
 import hashlib
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .channel import (
     STREAM_DELAY,
     STREAM_PDP_ERROR,
@@ -183,13 +183,6 @@ class PointResult:
     ci_hi: float
     mean_ns: float
 
-    @property
-    def value_label(self) -> str:
-        """The axis value as written to ``sweep.csv``: antenna pairs as '2x2'."""
-        if isinstance(self.axis_value, tuple):
-            return "x".join(map(str, self.axis_value))
-        return str(self.axis_value)
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -344,17 +337,18 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
 
     All selected estimators see the identical window in each trial, so a
     difference between their columns is purely an estimator effect. With
-    ``workers > 1`` one process pool serves every point of the sweep.
+    ``workers > 1`` one process pool serves every point of the sweep; it
+    starts no more processes than there are trials or cores.
     """
     rows: list[PointResult] = []
     all_outcomes: dict = {}
-    workers = spec.workers
+    processes = min(spec.workers, spec.trials, os.cpu_count() or 1)
     pool_context = (
-        ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+        ProcessPoolExecutor(processes) if spec.workers > 1 else contextlib.nullcontext()
     )
     with pool_context as pool:
         for value in spec.values:
-            parts = _chunks(spec.trials, 4 * workers if pool else 1)
+            parts = _chunks(spec.trials, 4 * processes if pool else 1)
             run = functools.partial(_run_trials, spec, value)
             outcomes = [o for part in (pool.map if pool else map)(run, parts) for o in part]
             for est in spec.estimators:
@@ -393,7 +387,7 @@ class MomentRow:
 @dataclass(frozen=True)
 class MomentReport:
     rows: tuple[MomentRow, ...]
-    histograms: dict  # k -> dict(edges, counts, centers, analytic_pdf)
+    histograms: dict  # k -> dict(edges, counts, analytic_pdf)
     trials: int
 
     def row(self, k: int) -> MomentRow:
@@ -516,7 +510,6 @@ def run_moment_validation(
         histograms[int(k)] = {
             "edges": edges,
             "counts": counts,
-            "centers": centers,
             "analytic_pdf": b_function(centers, float(vp.body[k]), scaled),
         }
     return MomentReport(rows=tuple(rows), histograms=histograms, trials=trials)
@@ -610,69 +603,3 @@ def run_runtime_scaling(
     y = np.log([r.aml_min_ns for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])
     return RuntimeScalingReport(rows=tuple(rows), loglog_slope=slope)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def sweep_to_csv(report: SweepReport, path) -> None:
-    _write_csv(
-        path,
-        ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi", "mean_ns"],
-        (
-            [
-                report.spec.axis,
-                row.value_label,
-                row.estimator,
-                row.trials,
-                row.successes,
-                f"{row.lock_in:.6f}",
-                f"{row.ci_lo:.6f}",
-                f"{row.ci_hi:.6f}",
-                f"{row.mean_ns:.1f}",
-            ]
-            for row in report.rows
-        ),
-    )
-
-
-def sweep_to_json(report: SweepReport, path) -> None:
-    payload = {
-        "version": __version__,
-        "master_seed": report.spec.master_seed,
-        "config_hash": report.config_hash,
-        "spec": dataclasses.asdict(report.spec),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_to_json)
-
-
-def moments_to_csv(report: MomentReport, path) -> None:
-    _write_csv(
-        path, [f.name for f in dataclasses.fields(MomentRow)], map(dataclasses.astuple, report.rows)
-    )
-
-
-def histogram_to_csv(report: MomentReport, k: int, path) -> None:
-    hist = report.histograms[k]
-    _write_csv(
-        path,
-        ["bin_lo", "bin_hi", "count", "analytic_pdf"],
-        zip(hist["edges"][:-1], hist["edges"][1:], map(int, hist["counts"]), hist["analytic_pdf"]),
-    )
-
-
-def scaling_to_csv(report: RuntimeScalingReport, path) -> None:
-    _write_csv(
-        path,
-        ["multiplier", "window_len", "aml_mean_ns", "ed_mean_ns", "aml_min_ns", "ed_min_ns"],
-        (
-            [r.multiplier, r.window_len]
-            + [f"{ns:.1f}" for ns in (r.aml_mean_ns, r.ed_mean_ns, r.aml_min_ns, r.ed_min_ns)]
-            for r in report.rows
-        ),
-    )

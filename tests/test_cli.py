@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from zpsync import cli
 from zpsync.cli import main
 
 
@@ -32,6 +33,51 @@ def test_simulate_preset_smoke(tmp_path, capsys):
     assert sidecar["spec"]["trials"] == 2
     assert "config_hash" in sidecar
     assert len(list(out.glob("manifest.json"))) == 1
+
+
+_SWEEP_HEADER = "axis,value,estimator,trials,successes,lock_in,ci_lo,ci_hi,mean_ns"
+_HIST_HEADER = "bin_lo,bin_hi,count,analytic_pdf"
+
+# each command's run directory: the exact files it holds and each CSV's header
+_RUN_DIRECTORIES = {
+    "simulate": (
+        ["simulate", "--preset", "fig2", "--trials", "2"],
+        {"manifest.json": None, "spec.json": None, "sweep.csv": _SWEEP_HEADER},
+    ),
+    "sensitivity": (
+        ["sensitivity", "--preset", "fig7", "--trials", "2"],
+        {"manifest.json": None, "spec.json": None, "sweep.csv": _SWEEP_HEADER},
+    ),
+    "validate-pdf": (
+        ["validate-pdf", "--preset", "table1", "--k", "1,150", "--trials", "200"],
+        {
+            "manifest.json": None,
+            "moments.csv": "k,n_samples,mean,variance,skewness,kurtosis,analytic_mean,"
+            "analytic_variance",
+            "hist_k1.csv": _HIST_HEADER,
+            "hist_k150.csv": _HIST_HEADER,
+        },
+    ),
+    "profile": (
+        ["profile", "--preset", "fig4", "--sizes", "1,2,3", "--trials", "1"],
+        {
+            "manifest.json": None,
+            "scaling.csv": "multiplier,window_len,aml_mean_ns,ed_mean_ns,aml_min_ns,ed_min_ns",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", _RUN_DIRECTORIES)
+def test_run_directory_files_and_headers(tmp_path, capsys, command):
+    argv, files = _RUN_DIRECTORIES[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "11", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name, header in files.items():
+        if header is not None:
+            assert (out / name).read_text().splitlines()[0] == header, name
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
 
 
 def test_simulate_missing_config_exits_2(tmp_path, capsys):
@@ -433,6 +479,38 @@ def test_non_finite_decay_exits_2_without_a_numpy_warning(tmp_path):
     assert "error: profile decay must be finite, got -inf" in done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("decay", ["-80.0", "-1000.0", "1e308"])
+def test_overflowing_decay_runs_without_a_numpy_warning(tmp_path, decay):
+    # exp(-decay * k) used to overflow: -80 and -1000 printed two warnings and
+    # exited 2 on a NaN profile, 1e308 printed one and ran
+    cfg = tmp_path / "exp.toml"
+    cfg.write_text(f"pdp_decay = {decay}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "o"
+    argv = ["simulate", "--preset", "fig2", "--config", str(cfg), "--trials", "2",
+            "--seed", "1", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "zpsync", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert (out / "sweep.csv").is_file()
+
+
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # a run too large for memory used to end in a numpy traceback
+    def too_large(**kwargs):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(cli, "run_moment_validation", too_large)
+    argv = ["validate-pdf", "--preset", "table1", "--k", "1", "--trials", "100"]
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate 728. TiB" in err
+    assert "Traceback" not in err
 
 
 def test_repeated_config_key_exits_2(tmp_path, capsys):

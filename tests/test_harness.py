@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from unittest import mock
@@ -21,16 +22,13 @@ from zpsync import (
     variance_profile_h0,
     wed_estimate,
 )
+from zpsync.cli import _write_moments, _write_sweep
 from zpsync.harness import (
     ExperimentSpec,
-    histogram_to_csv,
-    moments_to_csv,
     run_moment_validation,
     run_runtime_scaling,
     run_sweep,
     spec_hash,
-    sweep_to_csv,
-    sweep_to_json,
     wilson_interval,
 )
 
@@ -130,7 +128,7 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError, match=f"{axis} values must not repeat"):
             small_spec(axis=axis, values=values)
 
-    def test_antenna_pairs_given_as_lists(self):
+    def test_antenna_pairs_given_as_lists(self, tmp_path):
         # list pairs used to reach the outcomes as unhashable keys, the CSV
         # as '[1, 1]' and lock_in's lookup as a list that equals no tuple
         spec = small_spec(axis="antennas", values=([1, 1], [1, 2]), trials=3)
@@ -140,7 +138,9 @@ class TestExperimentSpecValidation:
         report = run_sweep(spec, keep_outcomes=True)
         assert list(report.outcomes) == [(1, 1), (1, 2)]
         assert 0.0 <= report.lock_in((1, 1)) <= 1.0
-        assert [row.value_label for row in report.rows] == ["1x1", "1x2"]  # sweep.csv's labels
+        _write_sweep(report, tmp_path)
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == ["1x1", "1x2"]
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ConfigError, match="empty hypothesis set"):
@@ -157,7 +157,7 @@ class TestExperimentSpecValidation:
         serial, parallel = small_spec(), small_spec(workers=4)
         assert spec_hash(serial) == spec_hash(parallel)
         assert spec_hash(serial) != spec_hash(small_spec(trials=21))
-        sweep_to_json(harness.SweepReport(parallel, rows=()), tmp_path / "spec.json")
+        _write_sweep(harness.SweepReport(parallel, rows=()), tmp_path)
         payload = json.loads((tmp_path / "spec.json").read_text())
         assert payload["config_hash"] == spec_hash(serial)
         assert payload["spec"]["workers"] == 4
@@ -265,6 +265,33 @@ class TestRunSweep:
                     (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
                 ], (spec.axis, value)
         assert len(pools) == len(specs)  # one pool per sweep, not one per value
+
+    def test_pool_starts_no_more_processes_than_trials(self, monkeypatch):
+        # the pool used to be asked for --workers processes, each of them
+        # forked at the first submit, whatever the trial count
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        spec = small_spec(trials=3)
+        pooled = run_sweep(dataclasses.replace(spec, workers=10**6), keep_outcomes=True)
+        assert len(asked) == 1 and 1 <= asked[0] <= 3
+        serial = run_sweep(spec, keep_outcomes=True)
+        assert [(o.d_true, o.d_hat) for o in pooled.outcomes[12.0]] == [
+            (o.d_true, o.d_hat) for o in serial.outcomes[12.0]
+        ]
 
     def test_seed_groups_leave_outcomes_unchanged(self, monkeypatch):
         # window seeds are derived, and WED and ED scored, a group of trials
@@ -374,8 +401,7 @@ class TestRunSweep:
         report = run_sweep(small_spec(trials=5))
         csv_path = tmp_path / "sweep.csv"
         json_path = tmp_path / "spec.json"
-        sweep_to_csv(report, csv_path)
-        sweep_to_json(report, json_path)
+        _write_sweep(report, tmp_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("axis,value,estimator,trials,successes")
         assert len(lines) == 1 + len(report.rows)
@@ -417,9 +443,8 @@ class TestMomentValidation:
         # analytic curve should integrate to ~1 over the sampled support
         width = np.diff(hist["edges"])
         assert float(np.sum(hist["analytic_pdf"] * width)) == pytest.approx(1.0, abs=0.05)
-        moments_to_csv(report, tmp_path / "moments.csv")
-        histogram_to_csv(report, 5, tmp_path / "hist.csv")
-        assert (tmp_path / "hist.csv").read_text().startswith("bin_lo,bin_hi,count,analytic_pdf")
+        _write_moments(report, tmp_path)
+        assert (tmp_path / "hist_k5.csv").read_text().startswith("bin_lo,bin_hi,count,analytic_pdf")
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_empty_run_rejected(self, trials):
