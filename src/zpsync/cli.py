@@ -74,10 +74,10 @@ def _delay_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"--delay-range must look like MIN:MAX, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, trials_help: str) -> None:
     parser.add_argument("--config", help="flat key/value config file")
     parser.add_argument("--preset", help="named preset (fig2..fig7, table1)")
-    parser.add_argument("--trials", type=int, help="trials per sweep point")
+    parser.add_argument("--trials", type=int, help=trials_help)
     parser.add_argument("--seed", type=int, help="master seed (random if omitted)")
     parser.add_argument("--out", help="output directory (default runs/<command>)")
 
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="lock-in probability sweep")
-    _add_common(sim)
+    _add_common(sim, "trials per sweep point")
     _add_workers(sim)
     sim.add_argument("--estimators", help="comma list from aml,wed,ed")
     sim.add_argument("--noise", choices=["gaussian", "impulsive"])
@@ -104,19 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--delay-range", help="offset range MIN:MAX, e.g. --delay-range=-30:30")
 
     val = sub.add_parser("validate-pdf", help="moment validation of the sample model")
-    _add_common(val)
+    _add_common(val, "independent block draws")
     val.add_argument("--k", help="comma list of block positions to validate")
     val.add_argument("--noise", choices=["gaussian", "impulsive"])
 
     sens = sub.add_parser("sensitivity", help="delay-profile error sensitivity")
-    _add_common(sens)
+    _add_common(sens, "trials per sweep point")
     _add_workers(sens)
     sens.add_argument("--alphas", help="comma list of per-tap error magnitudes in [0,1)")
     sens.add_argument("--noise", choices=["gaussian", "impulsive"])
     sens.add_argument("--delay-range", help="offset range MIN:MAX, e.g. --delay-range=-30:30")
 
     prof = sub.add_parser("profile", help="estimator runtime scaling")
-    _add_common(prof)
+    _add_common(prof, "timed A-ML and ED estimates per window size")
     prof.add_argument("--sizes", help="comma list of block-length multipliers")
 
     return parser

@@ -719,3 +719,23 @@ def test_delay_range_help_example_runs(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--delay-range=-30:30", "--trials", "1", "--seed", "1", "--out", str(out)]) == 0
     spec = json.loads((out / "spec.json").read_text())["spec"]
     assert (spec["d_min"], spec["d_max"]) == (-30, 30)
+
+
+@pytest.mark.parametrize(
+    "command, counted",
+    [
+        ("simulate", "trials per sweep point"),
+        ("sensitivity", "trials per sweep point"),
+        ("validate-pdf", "independent block draws"),
+        ("profile", "timed A-ML and ED estimates per window size"),
+    ],
+)
+def test_trials_help_names_what_each_command_counts(capsys, monkeypatch, command, counted):
+    # validate-pdf and profile have no sweep points, yet their help said
+    # "trials per sweep point"
+    monkeypatch.setenv("COLUMNS", "200")  # keep each help line whole
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    trials = [line for line in lines if line.strip().startswith("--trials")]
+    assert len(trials) == 1 and trials[0].endswith(counted)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,12 @@ from zpsync.harness import (
     run_sweep,
     spec_hash,
     wilson_interval,
+)
+from zpsync.presets import (
+    config_from_settings,
+    load_preset,
+    mixture_from_settings,
+    profile_from_settings,
 )
 
 SMALL = SystemConfig(n_data=64, n_zero=12, n_taps=6, n_blocks=3, mod_order=16, snr_db=12.0)
@@ -414,6 +421,22 @@ class TestRunSweep:
 
 
 class TestMomentValidation:
+    def test_table1_call_holds_no_full_batch(self):
+        # a 20000-trial batch once held all its data blocks and their inverse
+        # DFT at once (392 MiB traced); a row buffer and the tapped columns
+        # take about 24 MiB
+        settings = load_preset("table1")
+        config = config_from_settings(settings)
+        profile = profile_from_settings(settings, config.n_taps)
+        mixture = mixture_from_settings(settings)
+        tracemalloc.start()
+        try:
+            run_moment_validation(config, profile, mixture, 15.0, [1, 150], trials=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_symmetric_model_has_no_skew(self):
         report = run_moment_validation(
             SMALL, SMALL_PROFILE, NoiseMixture.gaussian(), 15.0, [1, 30], trials=40_000,
@@ -565,21 +588,50 @@ class TestMomentSamplerBitExact:
         (dataclasses.replace(SMALL, n_data=33), SMALL_PROFILE, NoiseMixture.gaussian(),
          [0, 7, 40], 20, 2**40 + 3, 7)
     )
+    @example(  # every position in the zero tail: no data column is kept, yet
+        # the blocks must still be drawn before the taps and noise
+        (SystemConfig(n_blocks=1), DelayProfile.exponential(1.0, 0.05, 10, normalized=True),
+         NoiseMixture.gaussian(), [531, 525], 50, 0, 20)
+    )
     def test_equals_reference_sampler(self, case):
-        config, profile, mixture, ks, trials, seed, batch = case
-        args = (config, profile, mixture, 12.0, ks, trials, seed, batch)
-        report = run_moment_validation(*args)
-        with mock.patch.object(
-            harness, "_batch_received_samples", reference_batch_received_samples
-        ):
-            ref = run_moment_validation(*args)
-        assert report.rows == ref.rows
-        assert report.trials == ref.trials
-        assert report.histograms.keys() == ref.histograms.keys()
-        for k, hist in ref.histograms.items():
-            assert report.histograms[k].keys() == hist.keys()
-            for name, values in hist.items():
-                np.testing.assert_array_equal(report.histograms[k][name], values)
+        assert_equals_reference_sampler(case)
+
+    # the batches of up to 400 rows cross many chunk boundaries, partial last
+    # chunks included
+    @pytest.mark.parametrize("data_rows", [1, 2, 3])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(moment_cases())
+    @example(
+        (dataclasses.replace(SMALL, n_data=33), SMALL_PROFILE, NoiseMixture.gaussian(),
+         [0, 7, 40], 20, 2**40 + 3, 7)
+    )
+    @example(
+        (dataclasses.replace(SMALL, gaussian_source=True), SMALL_PROFILE, IMPULSIVE,
+         [3, 63], 30, 5, 11)
+    )
+    @example(  # all positions in the zero tail
+        (dataclasses.replace(SMALL, n_data=33), SMALL_PROFILE, IMPULSIVE, [38, 44], 20, 0, 7)
+    )
+    def test_equals_reference_sampler_in_row_chunks(self, data_rows, case):
+        with mock.patch.object(harness, "_DATA_ROWS", data_rows):
+            assert_equals_reference_sampler(case)
+
+
+def assert_equals_reference_sampler(case):
+    config, profile, mixture, ks, trials, seed, batch = case
+    args = (config, profile, mixture, 12.0, ks, trials, seed, batch)
+    report = run_moment_validation(*args)
+    with mock.patch.object(
+        harness, "_batch_received_samples", reference_batch_received_samples
+    ):
+        ref = run_moment_validation(*args)
+    assert report.rows == ref.rows
+    assert report.trials == ref.trials
+    assert report.histograms.keys() == ref.histograms.keys()
+    for k, hist in ref.histograms.items():
+        assert report.histograms[k].keys() == hist.keys()
+        for name, values in hist.items():
+            np.testing.assert_array_equal(report.histograms[k][name], values)
 
 
 class TestPdpSensitivity:
