@@ -7,14 +7,17 @@ slice start, so windows taken at different offsets from the same seed are
 bit-exact shifts of each other.
 
 Every draw comes from its own substream, keyed ``(seed, purpose, antenna,
-block)``. :func:`build_stream` keeps that layout but builds a trial in a few
-array passes: :func:`window_seeds` derives the seeds of all its substreams
-(of a whole group of trials, in the harness) in one numpy pass of
-``SeedSequence``'s hash, all blocks' data go through one inverse DFT, and
-each noise substream writes its unit normals straight into the stream
-before one scaling pass. It produces the same bits as drawing block by block with
-:func:`~zpsync.waveform.generate_block` and :func:`draw_noise`, which are
-thin wrappers over the same helpers.
+block)``. A stream is built in two steps. :func:`draw_stream` takes a
+trial's seeds to its raw draws in a few array passes: :func:`window_seeds`
+derives the seeds of all its substreams (of a whole group of trials, in the
+harness) in one numpy pass of ``SeedSequence``'s hash, all blocks' data go
+through one inverse DFT, and each noise substream writes its unit normals
+straight into one array. :func:`stream_signal` and :func:`finish_stream`
+then scale, convolve and add them for one link and one noise mixture. A
+smaller link's draws are a prefix of a larger link's (fewer antennas, fewer
+blocks), so one draw serves every point of a sweep. The result is the same
+bits as drawing block by block with :func:`~zpsync.waveform.generate_block`
+and :func:`draw_noise`, which are thin wrappers over the same helpers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ConfigError, SystemConfig, draw_block_data
+from .waveform import ConfigError, SystemConfig, block_scale, draw_unscaled_blocks
 
 # purpose tags for deriving independent substreams from one trial seed
 STREAM_SIGNAL = 1
@@ -344,8 +347,12 @@ def draw_channel(
     """Draw one quasi-static channel: i.i.d. Rayleigh taps
     h[j, i, k] ~ CN(0, powers[k]) for every (receive, transmit) antenna
     pair, shape (n_rx, n_tx, n_taps)."""
-    shape = (n_rx, n_tx, profile.n_taps)
-    taps = rng.standard_normal(shape + (2,)) @ np.array([1.0, 1.0j])
+    return _taps(profile, rng.standard_normal((n_rx, n_tx, profile.n_taps, 2)))
+
+
+def _taps(profile: DelayProfile, normals: np.ndarray) -> np.ndarray:
+    """Taps from their unit normal I/Q pairs, shape (n_rx, n_tx, n_taps, 2)."""
+    taps = normals @ np.array([1.0, 1.0j])
     taps *= np.sqrt(profile.powers / 2.0)
     return taps
 
@@ -381,8 +388,13 @@ def _scale_noise(
     if uniforms is None:
         scale = np.sqrt(mixture.variances[0] / 2.0)
     else:
-        which = np.searchsorted(np.cumsum(mixture.probs), uniforms, side="right")
-        np.minimum(which, mixture.n_components - 1, out=which)
+        # the count of cumulative weights at or below each uniform, capped
+        # at the last component: the weights are nondecreasing, so the
+        # last one need not be compared
+        cumprobs = np.cumsum(mixture.probs)
+        which = np.zeros(uniforms.shape, dtype=np.intp)
+        for edge in cumprobs[:-1]:
+            which += uniforms >= edge
         scale = np.sqrt(mixture.variances / 2.0)[which]
     samples.real *= scale
     samples.imag *= scale
@@ -440,19 +452,37 @@ def convolve_frame(frame: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.convolve(frame, taps)[: frame.size]
 
 
-def build_stream(
+@dataclass(frozen=True, eq=False)
+class StreamDraws:
+    """A trial's draws before any link's scaling: what :func:`draw_stream`
+    takes from the substreams, in stream order.
+
+    The draws of a link with fewer antennas or blocks are a prefix of these:
+    the first ``n_tx`` rows of ``rows`` and their first blocks, the first
+    ``n_rx * n_tx * n_taps * 2`` channel normals, and the first ``n_rx``
+    rows of ``noise`` and their first samples.
+    """
+
+    rows: np.ndarray  # (n_tx, n_gen, block_len) unscaled data rows, zero tails
+    normals: np.ndarray  # the channel substream's unit normals, flat
+    noise: np.ndarray  # (n_rx, d_pad + n_gen * block_len) unit complex noise
+    uniforms: np.ndarray | None  # component choices, like noise; None for one component
+    d_pad: int
+
+
+def draw_stream(
     config: SystemConfig,
     profile: DelayProfile,
     mixture: NoiseMixture,
     seed: tuple[int, ...],
     d_pad: int,
-    channel: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the receive stream for indices [-d_pad, (n_blocks+1)*block_len).
+) -> StreamDraws:
+    """Draw a trial's stream for indices [-d_pad, (n_blocks+1)*block_len),
+    before any scaling.
 
     Index 0 is the first transmitted sample; the d_pad leading samples are
-    pure noise. One extra block beyond n_blocks is generated so windows
+    pure noise. One extra block beyond n_blocks is drawn so windows
     starting anywhere up to block_len - 1 stay in support. All draws come
     from substreams of ``seed``, independent of d_pad slicing: the channel
     from ``(seed, STREAM_CHANNEL)``, block n of tx antenna i from
@@ -462,51 +492,101 @@ def build_stream(
     ``seeds`` holds those substreams' seeds as :func:`window_seeds` derives
     them for a group of trials; without it they are derived here.
 
-    The trial is built in array passes: the data of all (i, n) blocks go
-    through one gather and one inverse DFT into a zeroed
-    (n_tx, n_gen, block_len) frame; each noise substream draws its
-    component uniforms and unit normals straight into the stream (a
-    single-component mixture skips the uniforms with ``advance(count)``,
-    which is exact, see :func:`_draw_unit_noise`), one pass scales all of
-    them; then each rx antenna adds the sum of its tx convolutions. The stream is
-    bit-identical to drawing every block with ``generate_block`` and
-    ``draw_noise`` on its own substream.
+    The data of all (i, n) blocks go through one gather and one inverse DFT
+    into a zeroed (n_tx, n_gen, block_len) array; each noise substream draws
+    its component uniforms (only for a mixture of several components; the
+    mixture is read for nothing else) and unit normals straight into the
+    stream (a single-component mixture skips the uniforms with
+    ``advance(count)``, which is exact, see :func:`_draw_unit_noise`).
     """
     n_s = config.block_len
     n_gen = config.n_blocks + 1
-    sig_len = n_gen * n_s
-
     if seeds is None:
         seeds = window_seeds(config, d_pad, seed)[0]
     rngs = [_seeded(state) for state in seeds]
-    if channel is None:
-        channel = draw_channel(profile, config.n_tx, config.n_rx, rngs[0])
+    normals = rngs[0].standard_normal(config.n_rx * config.n_tx * profile.n_taps * 2)
     n_sig = config.n_tx * n_gen
-    frames = np.zeros((config.n_tx, n_gen, n_s), dtype=np.complex128)
-    draw_block_data(config, rngs[1 : 1 + n_sig], frames.reshape(-1, n_s)[:, : config.n_data])
-    frames = frames.reshape(config.n_tx, sig_len)
+    rows = np.zeros((config.n_tx, n_gen, n_s), dtype=np.complex128)
+    draw_unscaled_blocks(config, rngs[1 : 1 + n_sig], rows.reshape(-1, n_s)[:, : config.n_data])
 
     # noise block 0 is the pre-pad, block n + 1 lies under signal block n
     edges = [0] + [d_pad + n * n_s for n in range(n_gen + 1)]
     spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    stream = np.empty((config.n_rx, d_pad + sig_len), dtype=np.complex128)
-    uniforms = np.empty(stream.shape) if mixture.n_components > 1 else None
+    noise = np.empty((config.n_rx, d_pad + n_gen * n_s), dtype=np.complex128)
+    uniforms = np.empty(noise.shape) if mixture.n_components > 1 else None
     noise_rngs = iter(rngs[1 + n_sig :])
     for j in range(config.n_rx):
         for lo, hi in spans:
             _draw_unit_noise(
                 next(noise_rngs),
-                stream[j, lo:hi],
+                noise[j, lo:hi],
                 None if uniforms is None else uniforms[j, lo:hi],
             )
-    _scale_noise(mixture, stream, uniforms)
+    return StreamDraws(rows, normals, noise, uniforms, d_pad)
 
-    for j in range(config.n_rx):
-        sig = convolve_frame(frames[0], channel[j, 0])
-        for i in range(1, config.n_tx):
-            sig += convolve_frame(frames[i], channel[j, i])
-        stream[j, d_pad:] += sig
-    return stream, channel
+
+def stream_signal(
+    draws: StreamDraws,
+    config: SystemConfig,
+    profile: DelayProfile,
+    channel: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free received signal of ``config``'s link over every drawn
+    block, from index 0 on, and its channel: ``(signal, taps)``, with signal
+    (n_rx, n_gen * block_len).
+
+    The data rows of the link's tx antennas are scaled to their power, the
+    taps are built from the channel normals (unless ``channel`` pins them),
+    and each rx antenna sums its tx convolutions. A link with fewer blocks
+    than were drawn reads a prefix of this signal: each output sample of a
+    convolution reads only the samples before it.
+    """
+    n_tx, n_rx = config.n_tx, config.n_rx
+    if channel is None:
+        normals = draws.normals[: n_rx * n_tx * profile.n_taps * 2]
+        channel = _taps(profile, normals.reshape(n_rx, n_tx, profile.n_taps, 2))
+    frames = (draws.rows[:n_tx] * block_scale(config)).reshape(n_tx, -1)
+    signal = np.empty((n_rx, frames.shape[1]), dtype=np.complex128)
+    for j in range(n_rx):
+        signal[j] = convolve_frame(frames[0], channel[j, 0])
+        for i in range(1, n_tx):
+            signal[j] += convolve_frame(frames[i], channel[j, i])
+    return signal, channel
+
+
+def finish_stream(
+    draws: StreamDraws, mixture: NoiseMixture, signal: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Samples ``[lo, hi)`` of the received stream, counted from its first
+    pre-pad sample, on the rx antennas of ``signal``: a copy of the unit
+    noise scaled for ``mixture``, plus the signal of :func:`stream_signal`.
+    Every step is per sample, so a slice equals the slice of the whole
+    stream bit for bit."""
+    n_rx = signal.shape[0]
+    samples = draws.noise[:n_rx, lo:hi].copy()
+    uniforms = None if draws.uniforms is None else draws.uniforms[:n_rx, lo:hi]
+    _scale_noise(mixture, samples, uniforms)
+    at = max(lo, draws.d_pad)  # the first sample under the signal
+    samples[:, at - lo :] += signal[:, at - draws.d_pad : hi - draws.d_pad]
+    return samples
+
+
+def build_stream(
+    config: SystemConfig,
+    profile: DelayProfile,
+    mixture: NoiseMixture,
+    seed: tuple[int, ...],
+    d_pad: int,
+    channel: np.ndarray | None = None,
+    seeds: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole receive stream of :func:`draw_stream`, for indices
+    [-d_pad, (n_blocks+1)*block_len), and its channel taps. Bit-identical
+    to drawing every block with ``generate_block`` and ``draw_noise`` on
+    its own substream."""
+    draws = draw_stream(config, profile, mixture, seed, d_pad, seeds)
+    signal, channel = stream_signal(draws, config, profile, channel)
+    return finish_stream(draws, mixture, signal, 0, draws.noise.shape[1]), channel
 
 
 def assemble_window(
@@ -525,7 +605,7 @@ def assemble_window(
     the receiver started early and captures that many leading noise samples.
     ``seed`` identifies the trial; pass ``channel`` (taps as
     :func:`draw_channel` returns them) to pin the channel (noise-free oracle
-    tests), and ``seeds`` to hand :func:`build_stream` the trial's
+    tests), and ``seeds`` to hand :func:`draw_stream` the trial's
     pre-derived substream seeds (see :func:`window_seeds`).
     """
     seed_t = (seed,) if isinstance(seed, int) else tuple(seed)
@@ -538,7 +618,8 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    stream, channel = build_stream(config, profile, mixture, seed_t, d_pad, channel, seeds)
+    draws = draw_stream(config, profile, mixture, seed_t, d_pad, seeds)
+    signal, channel = stream_signal(draws, config, profile, channel)
     start = d_pad + d_true
-    window = stream[:, start : start + config.window_len].copy()
-    return ReceivedWindow(window, d_true, config, channel)
+    samples = finish_stream(draws, mixture, signal, start, start + config.window_len)
+    return ReceivedWindow(samples, d_true, config, channel)

@@ -44,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceivedWindow
-from .likelihood import NoiseMixture, VarianceProfile, loglik_cells, loglik_class_table
+from .likelihood import (
+    NoiseMixture,
+    VarianceProfile,
+    cell_constants,
+    fold_cells,
+    loglik_class_table,
+)
 from .waveform import ConfigError, SystemConfig
 
 
@@ -316,12 +322,12 @@ def _sparse_cells(
     if below_zero:
         outside[1:, starts[-1] :] = True
     np.clip(positions, 0, m - 1, out=positions)
-    cell_class = np.repeat(run_class, widths)
+    constants = cell_constants(np.repeat(run_class, widths), vp, mixture)
     first = starts + (hyp.d_max - hyp.values)[:, None]
     last = first + lengths
 
     def scores(samples: np.ndarray) -> np.ndarray:
-        cells = loglik_cells(samples, positions, cell_class, vp, mixture)
+        cells = fold_cells(samples, positions, *constants)
         np.copyto(cells, 0.0, where=outside)
         csum = np.concatenate([[0.0], np.cumsum(cells.sum(axis=0))])
         return (csum[last] - csum[first]).sum(axis=1)

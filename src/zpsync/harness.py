@@ -5,9 +5,12 @@ writes the run directory.
 
 Every random draw is derived from (master_seed, trial_index, purpose), so
 reports are bit-identical across reruns and worker scheduling. Within a
-sweep, trial indices are shared across points: where the axis permits, the
-same signal/channel/noise realizations are reused point to point (common
-random numbers), which sharpens trend comparisons.
+sweep, trial indices are shared across points, so the same
+signal/channel/noise realizations are reused point to point (common random
+numbers), which sharpens trend comparisons. On every axis they also share
+the computation: a trial is drawn once per sweep, for its largest link, and
+each point's window is finished from those draws, since a link with fewer
+antennas or blocks reads a prefix of them.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ from .channel import (
     assemble_window,
     draw_channel,
     draw_noise,
+    draw_stream,
+    finish_stream,
     noise_power,
     scale_mixture_to_snr,
+    stream_signal,
     substream,
     window_seeds,
 )
@@ -251,79 +257,127 @@ def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture
 _SEED_GROUP = 64
 
 
-def _run_trials(spec: ExperimentSpec, value, trial_indices) -> list[TrialOutcome]:
-    """Outcomes of the given trials at one sweep point, ``_SEED_GROUP``
-    trials at a time.
+class _PointTrials:
+    """One sweep point's share of a chunk of trials: its link, its scoring
+    plans, the scores of the current seed group and the outcomes so far."""
 
-    Each estimator scores from a plan built once per point. On the
-    ``pdp_alpha`` axis, where the assumed profile changes per trial, the
-    plans that read it (A-ML's and WED's) are built once per trial. A-ML
-    scores each window as it is built. WED and ED keep only each window's
-    energy prefix and score the whole group at its end.
+    def __init__(self, spec: ExperimentSpec, value, hyp: HypothesisSet, group_len: int) -> None:
+        self.spec, self.value = spec, value
+        self.config, self.mixture = config, scaled = _point_link(spec, value)
+        m = config.window_len
+        # the builders read locals, not self: a cycle through self would
+        # leave each point, with its plans, to the cyclic garbage collector
+        self.build = {
+            "aml": lambda vp: aml_plan(vp, scaled, hyp, m),
+            "wed": lambda vp: wed_plan(vp, float(scaled.variances[0]), hyp, m),
+            "ed": lambda vp: ed_plan(config, hyp, m),
+        }
+        vp = variance_profile_h0(config, spec.profile)
+        self.plans = {est: self.build[est](vp) for est in spec.estimators}
+        self.energy = [est for est in spec.estimators if est != "aml"]
+        self.prefix = np.empty((group_len, m + 1))
+        self.outcomes: list[TrialOutcome] = []
+        self._start_group()
+
+    def _start_group(self) -> None:
+        self.elapsed = dict.fromkeys(self.spec.estimators, 0)
+        self.d_hat = {est: [] for est in self.spec.estimators}
+        self.group_plans = []
+
+    def score(self, k: int, samples: np.ndarray, signs: np.ndarray | None) -> None:
+        """Score the window of the group's trial ``k``; ``signs`` are the
+        trial's profile-error signs on the ``pdp_alpha`` axis."""
+        trial_plans = self.plans
+        if signs is not None and self.value > 0:
+            perturbed = self.spec.profile.perturbed(float(self.value), signs)
+            vp = variance_profile_h0(self.config, perturbed)
+            # ED's plan reads no profile, so it stays the point's
+            trial_plans = {
+                est: self.build[est](vp) if est != "ed" else plan
+                for est, plan in self.plans.items()
+            }
+        self.group_plans.append(trial_plans)
+        check_finite(samples)
+        if "aml" in trial_plans:
+            t0 = time.perf_counter_ns()
+            plan = trial_plans["aml"]
+            self.d_hat["aml"].append(plan.decide(plan.scores(samples)))
+            self.elapsed["aml"] += time.perf_counter_ns() - t0
+        if self.energy:
+            t0 = time.perf_counter_ns()
+            energy_prefix(samples, out=self.prefix[k])
+            shared_ns = (time.perf_counter_ns() - t0) // len(self.energy)
+            for est in self.energy:
+                self.elapsed[est] += shared_ns
+
+    def end_group(self, group, d_true: list[int]) -> None:
+        """Score WED and ED over the group and keep its outcomes."""
+        for est in self.energy:
+            t0 = time.perf_counter_ns()
+            est_plans = [p[est] for p in self.group_plans]
+            scores = energy_scores(est_plans, self.prefix[: len(group)])
+            self.d_hat[est] = est_plans[0].decide(scores)
+            self.elapsed[est] += time.perf_counter_ns() - t0
+        # one mapping per group: each trial carries the group's mean times
+        mean_ns = {est: round(ns / len(group)) for est, ns in self.elapsed.items()}
+        self.outcomes += [
+            TrialOutcome(t, d, {est: int(self.d_hat[est][k]) for est in self.d_hat}, mean_ns)
+            for k, (t, d) in enumerate(zip(group, d_true))
+        ]
+        self._start_group()
+
+
+def _run_trials(spec: ExperimentSpec, trial_indices) -> list[list[TrialOutcome]]:
+    """Outcomes of the given trials at every sweep point, one list per value
+    of ``spec.values``, ``_SEED_GROUP`` trials at a time.
+
+    The run is trial-major. Each trial's substreams are drawn once, for the
+    sweep's largest link (the most tx antennas, rx antennas and blocks of
+    any point), and every point's window is finished from those draws:
+    a smaller link's draws are a prefix of them (see
+    :func:`~zpsync.channel.draw_stream`). Points with the same antennas
+    share one convolved signal. Each estimator scores from a plan built once
+    per point. On the ``pdp_alpha`` axis, where the assumed profile changes
+    per trial, the plans that read it (A-ML's and WED's) are built once per
+    trial and point. A-ML scores each window as it is built. WED and ED keep
+    only each window's energy prefix, one buffer per point, and score the
+    whole group at its end.
     """
-    config, scaled = _point_link(spec, value)
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
-    m = config.window_len
-    build = {
-        "aml": lambda vp: aml_plan(vp, scaled, hyp, m),
-        "wed": lambda vp: wed_plan(vp, float(scaled.variances[0]), hyp, m),
-        "ed": lambda vp: ed_plan(config, hyp, m),
-    }
+    group_len = min(_SEED_GROUP, len(trial_indices))
+    points = [_PointTrials(spec, value, hyp, group_len) for value in spec.values]
+    sizes = {f: max(getattr(p.config, f) for p in points) for f in ("n_tx", "n_rx", "n_blocks")}
+    drawn = dataclasses.replace(spec.config, **sizes)
 
-    vp = variance_profile_h0(config, spec.profile)
-    point_plans = {est: build[est](vp) for est in spec.estimators}
-    energy = [est for est in spec.estimators if est != "aml"]
-    prefix = np.empty((min(_SEED_GROUP, len(trial_indices)), m + 1))
-
-    outcomes = []
     for start in range(0, len(trial_indices), _SEED_GROUP):
         group = trial_indices[start : start + _SEED_GROUP]
-        seeds = window_seeds(config, d_pad, (spec.master_seed,), group)
-        elapsed = dict.fromkeys(spec.estimators, 0)
-        d_true, d_hat, group_plans = [], {est: [] for est in spec.estimators}, []
+        seeds = window_seeds(drawn, d_pad, (spec.master_seed,), group)
+        d_true = []
         for k, t in enumerate(group):
             delay = substream(spec.master_seed, t, STREAM_DELAY)
             d_true.append(int(delay.integers(spec.d_min, spec.d_max + 1)))
-            trial_plans = point_plans
-            if spec.axis == "pdp_alpha" and value > 0:
+            signs = None
+            if spec.axis == "pdp_alpha":
                 rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
-                signs = rng.integers(0, 2, size=config.n_taps) * 2 - 1
-                vp = variance_profile_h0(config, spec.profile.perturbed(float(value), signs))
-                # ED's plan reads no profile, so it stays the point's
-                trial_plans = {
-                    est: build[est](vp) if est != "ed" else plan
-                    for est, plan in point_plans.items()
-                }
-            group_plans.append(trial_plans)
-            samples = assemble_window(
-                config, spec.profile, scaled, d_true[-1], seed=(spec.master_seed, t),
-                d_pad=d_pad, seeds=seeds[k],
-            ).samples
-            check_finite(samples)
-            if "aml" in trial_plans:
-                t0 = time.perf_counter_ns()
-                plan = trial_plans["aml"]
-                d_hat["aml"].append(plan.decide(plan.scores(samples)))
-                elapsed["aml"] += time.perf_counter_ns() - t0
-            if energy:
-                t0 = time.perf_counter_ns()
-                energy_prefix(samples, out=prefix[k])
-                shared_ns = (time.perf_counter_ns() - t0) // len(energy)
-                for est in energy:
-                    elapsed[est] += shared_ns
-        for est in energy:
-            t0 = time.perf_counter_ns()
-            est_plans = [p[est] for p in group_plans]
-            d_hat[est] = est_plans[0].decide(energy_scores(est_plans, prefix[: len(group)]))
-            elapsed[est] += time.perf_counter_ns() - t0
-        # one mapping per group: each trial carries the group's mean times
-        mean_ns = {est: round(ns / len(group)) for est, ns in elapsed.items()}
-        outcomes += [
-            TrialOutcome(t, d, {est: int(d_hat[est][k]) for est in spec.estimators}, mean_ns)
-            for k, (t, d) in enumerate(zip(group, d_true))
-        ]
-    return outcomes
+                signs = rng.integers(0, 2, size=spec.config.n_taps) * 2 - 1
+            # free the last trial's signals before this trial draws: a higher
+            # peak let the allocator hand the heap top back to the system
+            # and fault it in again on every call
+            signals = {}
+            draws = draw_stream(
+                drawn, spec.profile, spec.mixture, (spec.master_seed, t), d_pad, seeds[k]
+            )
+            lo = d_pad + d_true[-1]
+            for point in points:
+                link = (point.config.n_tx, point.config.n_rx)
+                if link not in signals:
+                    signals[link] = stream_signal(draws, point.config, spec.profile)[0]
+                hi = lo + point.config.window_len
+                point.score(k, finish_stream(draws, point.mixture, signals[link], lo, hi), signs)
+        for point in points:
+            point.end_group(group, d_true)
+    return [point.outcomes for point in points]
 
 
 def _chunks(n: int, pieces: int) -> list[range]:
@@ -347,28 +401,29 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
         ProcessPoolExecutor(processes) if spec.workers > 1 else contextlib.nullcontext()
     )
     with pool_context as pool:
-        for value in spec.values:
-            parts = _chunks(spec.trials, 4 * processes if pool else 1)
-            run = functools.partial(_run_trials, spec, value)
-            outcomes = [o for part in (pool.map if pool else map)(run, parts) for o in part]
-            for est in spec.estimators:
-                successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
-                ci_lo, ci_hi = wilson_interval(successes, spec.trials)
-                mean_ns = float(np.mean([o.elapsed_ns[est] for o in outcomes]))
-                rows.append(
-                    PointResult(
-                        axis_value=value,
-                        estimator=est,
-                        trials=spec.trials,
-                        successes=successes,
-                        lock_in=successes / spec.trials,
-                        ci_lo=ci_lo,
-                        ci_hi=ci_hi,
-                        mean_ns=mean_ns,
-                    )
+        parts = _chunks(spec.trials, 4 * processes if pool else 1)
+        run = functools.partial(_run_trials, spec)
+        chunks = list((pool.map if pool else map)(run, parts))
+    for p, value in enumerate(spec.values):
+        outcomes = [o for chunk in chunks for o in chunk[p]]
+        for est in spec.estimators:
+            successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
+            ci_lo, ci_hi = wilson_interval(successes, spec.trials)
+            mean_ns = float(np.mean([o.elapsed_ns[est] for o in outcomes]))
+            rows.append(
+                PointResult(
+                    axis_value=value,
+                    estimator=est,
+                    trials=spec.trials,
+                    successes=successes,
+                    lock_in=successes / spec.trials,
+                    ci_lo=ci_lo,
+                    ci_hi=ci_hi,
+                    mean_ns=mean_ns,
                 )
-            if keep_outcomes:
-                all_outcomes[value] = outcomes
+            )
+        if keep_outcomes:
+            all_outcomes[value] = outcomes
     return SweepReport(spec=spec, rows=tuple(rows), outcomes=all_outcomes if keep_outcomes else None)
 
 

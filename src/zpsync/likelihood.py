@@ -185,7 +185,7 @@ def loglik_class_table(
     per-class prefix sums of this table over the profile's long
     constant-class runs, so the transcendentals are paid once per window,
     not once per hypothesis; classes whose runs reach few cells go through
-    :func:`loglik_cells` instead.
+    :func:`fold_cells` instead.
 
     Works with in-place ufuncs on small scratch buffers: the only large
     allocation is the table itself, which keeps long-window timing free of
@@ -239,24 +239,38 @@ def loglik_cells(
     and ``cell_class`` (n_cells,) the class id of each column. Returns an
     array shaped like ``positions`` whose cell holds
     log p(y[:, positions[..., i]] | class cell_class[i]) summed over
-    antennas. The components are folded as in :func:`loglik_class_table`,
-    with each column's constants broadcast along the leading axes; the
-    scratch buffers are the size of the gather, not of the window.
+    antennas: :func:`fold_cells` with the constants of :func:`cell_constants`.
     """
+    return fold_cells(y, positions, *cell_constants(cell_class, vp, mixture))
+
+
+def cell_constants(cell_class: np.ndarray, vp: VarianceProfile, mixture: NoiseMixture):
+    """The constants :func:`fold_cells` reads for columns of the classes
+    ``cell_class``: ``(scales, offsets)``, each (n_components, 2 * n_cells),
+    every column's constants twice in a row, for I and Q. They depend on the
+    classes alone, not on the window."""
+    scales, offsets = _component_constants(vp.class_values, mixture)
+    return np.repeat(scales[cell_class].T, 2, axis=1), np.repeat(offsets[cell_class].T, 2, axis=1)
+
+
+def fold_cells(
+    y: np.ndarray, positions: np.ndarray, scales: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """The log densities of :func:`loglik_cells`, from the constants of
+    :func:`cell_constants`. The components are folded as in
+    :func:`loglik_class_table`, with each column's constants broadcast along
+    the leading axes; the scratch buffers are the size of the gather, not of
+    the window."""
     y = np.atleast_2d(y)
     n_rx = y.shape[0]
     n_cells = positions.shape[-1]
     # I and Q interleaved, (n_rx, ..., 2 * n_cells)
     z2 = np.take(y, positions, axis=1).astype(np.complex128, copy=False).view(np.float64)
     np.square(z2, out=z2)
-    scales, offsets = _component_constants(vp.class_values, mixture)
-    # (n_components, 2 * n_cells): each column's constants, for I and Q
-    scales = np.repeat(scales[cell_class].T, 2, axis=1)
-    offsets = np.repeat(offsets[cell_class].T, 2, axis=1)
     acc = np.empty_like(z2)
     # the gather is private and the last term is its last reader, so with
     # two components that term overwrites it: one buffer fewer
-    term = z2 if mixture.n_components == 2 else np.empty_like(z2)
+    term = z2 if len(scales) == 2 else np.empty_like(z2)
     _fold_components(z2, scales, offsets, acc, term, np.empty_like(z2))
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = acc.reshape(acc.shape[:-1] + (n_cells, 2))

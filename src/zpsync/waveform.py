@@ -118,18 +118,21 @@ def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
     be contiguous, e.g. the data columns of a zeroed frame). Its rows are
     split evenly among ``rngs`` in order, and each generator draws its rows
     one after another, so k rows from one generator equal k one-row calls
-    on it. QAM rows are gathered from the constellation and sent through
-    one inverse DFT over all rows; Gaussian-source rows draw unit normal I/Q
-    pairs in place (one generator's rows must then be contiguous together).
-    One scaling pass gives every sample expected power signal_power / n_tx
-    (the total transmit power is held constant as antennas are added; pass
-    ``n_tx=1`` for one antenna at full power).
+    on it. The rows are drawn by :func:`draw_unscaled_blocks` and then
+    multiplied by :func:`block_scale`.
     """
-    per_antenna = config.signal_power / config.n_tx
+    draw_unscaled_blocks(config, rngs, out)
+    out *= block_scale(config)
+
+
+def draw_unscaled_blocks(config: SystemConfig, rngs, out: np.ndarray) -> None:
+    """:func:`draw_block_data` before its scaling pass: QAM rows are
+    gathered from the constellation and sent through one inverse DFT over
+    all rows; Gaussian-source rows draw unit normal I/Q pairs in place (one
+    generator's rows must then be contiguous together)."""
     if config.gaussian_source:
         for rows, rng in zip(np.split(out, len(rngs)), rngs):
             rng.standard_normal(out=rows.view(np.float64))
-        out *= np.sqrt(per_antenna / 2.0)
     else:
         size = (len(out) // len(rngs), config.n_data)
         draws = [rng.integers(0, config.mod_order, size=size) for rng in rngs]
@@ -139,9 +142,19 @@ def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
             draws[0] if len(draws) == 1 else np.concatenate(draws)
         ]
         del draws
-        # unitary inverse DFT: per-block time-domain energy equals symbol energy
         np.fft.ifft(symbols, axis=-1, out=out)
-        out *= np.sqrt(config.n_data * per_antenna)
+
+
+def block_scale(config: SystemConfig) -> float:
+    """The factor that gives every unscaled data sample expected power
+    signal_power / n_tx (the total transmit power is held constant as
+    antennas are added; pass ``n_tx=1`` for one antenna at full power). For
+    QAM rows it makes the inverse DFT unitary: per-block time-domain energy
+    equals symbol energy."""
+    per_antenna = config.signal_power / config.n_tx
+    if config.gaussian_source:
+        return np.sqrt(per_antenna / 2.0)
+    return np.sqrt(config.n_data * per_antenna)
 
 
 def generate_block(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:

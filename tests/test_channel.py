@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +21,14 @@ from zpsync.channel import (
     STREAM_NOISE,
     STREAM_SIGNAL,
     _pcg64_seeds,
+    _scale_noise,
     _seeded,
     build_stream,
     convolve_frame,
+    draw_stream,
+    finish_stream,
     noise_power,
+    stream_signal,
     substream,
     window_seeds,
 )
@@ -177,6 +183,23 @@ def test_draw_noise_matches_explicit_draws(mixture):
     assert np.unique(mixture.variances).size == mixture.n_components
     samples = draw_noise(mixture, count, np.random.default_rng(2024))
     np.testing.assert_array_equal(samples, expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_component_choice_matches_searchsorted(weights, seed):
+    # uniforms at and just below every cumulative weight, where counting the
+    # weights at or below a uniform and searchsorted(side="right") could part
+    probs = np.array(weights) / sum(weights)
+    mixture = NoiseMixture(probs, np.arange(1.0, probs.size + 1))
+    cumprobs = np.cumsum(probs)
+    uniforms = np.concatenate(
+        [np.random.default_rng(seed).random(100), cumprobs, np.nextafter(cumprobs, 0), [0.0]]
+    )
+    samples = np.ones(uniforms.size, dtype=np.complex128)
+    _scale_noise(mixture, samples, uniforms)
+    which = np.minimum(np.searchsorted(cumprobs, uniforms, side="right"), probs.size - 1)
+    np.testing.assert_array_equal(samples.real, np.sqrt(mixture.variances / 2.0)[which])
 
 
 @pytest.mark.parametrize("mixture", MIXTURES, ids=["gaussian", "impulsive", "three"])
@@ -358,6 +381,44 @@ class TestBuildStreamBitExact:
             stream, _ = build_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
             ref, _ = per_block_stream(config, sim_profile, mixture, (2**33, 4), d_pad)
             np.testing.assert_array_equal(stream, ref)
+
+
+class TestStreamDrawsPrefix:
+    """A link with fewer antennas or blocks is finished from a larger link's
+    draws, bit-identical to its own stream."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stream_cases(), st.integers(0, 1), st.integers(0, 1), st.integers(0, 2))
+    def test_smaller_link_equals_its_own_stream(self, case, fewer_tx, fewer_rx, fewer_blocks):
+        config, profile, mixture, seed, d_pad = case
+        link = replace(
+            config,
+            n_tx=max(1, config.n_tx - fewer_tx),
+            n_rx=max(1, config.n_rx - fewer_rx),
+            n_blocks=max(1, config.n_blocks - fewer_blocks),
+        )
+        draws = draw_stream(config, profile, mixture, seed, d_pad)
+        signal, channel = stream_signal(draws, link, profile)
+        stream = finish_stream(draws, mixture, signal, 0, d_pad + (link.n_blocks + 1) * link.block_len)
+        ref_stream, ref_channel = build_stream(link, profile, mixture, seed, d_pad)
+        np.testing.assert_array_equal(channel, ref_channel)
+        np.testing.assert_array_equal(stream, ref_stream)
+
+    @pytest.mark.parametrize(
+        "antennas, n_blocks", [((1, 1), 10), ((1, 2), 10), ((2, 1), 10), ((1, 1), 4), ((2, 2), 7)]
+    )
+    def test_windows_at_paper_size(self, sim_profile, antennas, n_blocks):
+        # fig5's 2x2 link drawn once, 10 blocks, impulsive noise, d_pad 30
+        drawn = SystemConfig(n_tx=2, n_rx=2)
+        link = replace(drawn, n_tx=antennas[0], n_rx=antennas[1], n_blocks=n_blocks)
+        mixture = scale_mixture_to_snr(NoiseMixture.impulsive(), 1.0, 5.0)
+        for t, d_true in ((0, -30), (1, 0), (2, 531)):
+            draws = draw_stream(drawn, sim_profile, mixture, (2**33, t), 30)
+            signal, _ = stream_signal(draws, link, sim_profile)
+            lo = 30 + d_true
+            window = finish_stream(draws, mixture, signal, lo, lo + link.window_len)
+            ref = assemble_window(link, sim_profile, mixture, d_true, seed=(2**33, t), d_pad=30)
+            np.testing.assert_array_equal(window, ref.samples)
 
 
 def _same_generator(got, expected):

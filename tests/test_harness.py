@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from zpsync import (
     DelayProfile,
     HypothesisSet,
     NoiseMixture,
+    ReceivedWindow,
     SystemConfig,
     aml_estimate,
     ed_estimate,
@@ -261,6 +263,8 @@ class TestRunSweep:
             small_spec(trials=12, values=(6.0, 12.0)),
             small_spec(trials=12, axis="p0", values=(0.9, 0.99)),
             small_spec(trials=12, axis="pdp_alpha", values=(0.0, 0.4)),
+            small_spec(trials=12, axis="antennas", values=((1, 2), (2, 1), (1, 1))),
+            small_spec(trials=12, axis="n_blocks", values=(3, 1, 2)),
         )
         for spec in specs:
             serial = run_sweep(spec, keep_outcomes=True)
@@ -272,6 +276,81 @@ class TestRunSweep:
                     (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
                 ], (spec.axis, value)
         assert len(pools) == len(specs)  # one pool per sweep, not one per value
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("snr_db", (6.0, 40.0)),
+            ("p0", (0.9, 0.99)),
+            ("pdp_alpha", (0.0, 0.4)),
+            ("antennas", ((1, 2), (2, 1), (1, 1), (2, 2))),
+            ("n_blocks", (2, 1, 3)),
+        ],
+    )
+    def test_windows_equal_assemble_window(self, monkeypatch, axis, values):
+        # every point's window is finished from its trial's one draw for the
+        # sweep's largest link; each must equal the window built for that
+        # point alone, bit for bit
+        real_finish = harness.finish_stream
+        windows = []
+
+        def finish(*args):
+            windows.append(real_finish(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(harness, "finish_stream", finish)
+        spec = small_spec(trials=6, axis=axis, values=values)
+        report = run_sweep(spec, keep_outcomes=True)
+        # trial-major: all points of trial 0, then all of trial 1, ...
+        assert len(windows) == spec.trials * len(values)
+        for k, window in enumerate(windows):
+            t, p = divmod(k, len(values))
+            value = values[p]
+            config, mixture = harness._point_link(spec, value)
+            ref = harness.assemble_window(
+                config, spec.profile, mixture, report.outcomes[value][t].d_true,
+                seed=(spec.master_seed, t), d_pad=-spec.d_min,
+            )
+            np.testing.assert_array_equal(window, ref.samples, err_msg=f"{value!r} trial {t}")
+
+    def test_each_trial_is_drawn_once_per_sweep(self, monkeypatch):
+        # the draws are shared by every point, whatever the axis changes
+        real_draw = harness.draw_stream
+        drawn = []
+
+        def draw(config, profile, mixture, seed, *args):
+            drawn.append(seed)
+            return real_draw(config, profile, mixture, seed, *args)
+
+        monkeypatch.setattr(harness, "draw_stream", draw)
+        specs = (
+            small_spec(trials=5, values=(6.0, 12.0, 40.0)),
+            small_spec(trials=5, axis="antennas", values=((1, 1), (1, 2), (2, 2))),
+            small_spec(trials=5, axis="n_blocks", values=(1, 3)),
+        )
+        for spec in specs:
+            drawn.clear()
+            run_sweep(spec)
+            assert drawn == [(spec.master_seed, t) for t in range(spec.trials)], spec.axis
+
+    def test_sweep_leaves_no_reference_cycles(self):
+        # what a sweep point holds (its plans, its prefix buffer) must be
+        # freed when the sweep returns, not left to the cyclic collector:
+        # garbage piling up between collections raised a benchmark's peak
+        # memory by about half
+        gaussian = dict(mixture=NoiseMixture.gaussian(), d_min=0, d_max=8)
+        specs = (
+            small_spec(trials=6, values=(6.0, 12.0)),
+            small_spec(
+                trials=6, axis="pdp_alpha", values=(0.0, 0.4), estimators=("aml", "wed", "ed"),
+                **gaussian,
+            ),
+        )
+        for spec in specs:
+            run_sweep(spec)  # first calls fill lazy caches
+            gc.collect()
+            run_sweep(spec)
+            assert gc.collect() == 0, spec.axis
 
     def test_pool_starts_no_more_processes_than_trials(self, monkeypatch):
         # the pool used to be asked for --workers processes, each of them
@@ -362,15 +441,17 @@ class TestRunSweep:
         spec = small_spec(
             trials=12, estimators=estimators, mixture=NoiseMixture.gaussian(), d_min=0, d_max=8
         )
-        real_assemble = harness.assemble_window
-        seen = []
+        real_finish = harness.finish_stream
+        finished, seen = [], []
 
-        def assemble(*args, **kwargs):
-            window = real_assemble(*args, **kwargs)
-            if kwargs["seed"][1] == 7:
-                window.samples[0, 20] = bad
-                seen.append(window)
-            return window
+        def finish(*args):
+            samples = real_finish(*args)
+            finished.append(samples)
+            # one point, trials in order: the eighth window is trial 7's
+            if len(finished) == 8:
+                samples[0, 20] = bad
+                seen.append(ReceivedWindow(samples, 0, SMALL, None))
+            return samples
 
         real_argmin, real_argmax = np.argmin, np.argmax
 
@@ -381,7 +462,7 @@ class TestRunSweep:
 
             return rank
 
-        monkeypatch.setattr(harness, "assemble_window", assemble)
+        monkeypatch.setattr(harness, "finish_stream", finish)
         monkeypatch.setattr(np, "argmin", finite_only(real_argmin))
         monkeypatch.setattr(np, "argmax", finite_only(real_argmax))
         with pytest.raises(ConfigError, match=message) as swept:
