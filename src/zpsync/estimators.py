@@ -35,6 +35,15 @@ its gather layout. The public ``*_estimate`` calls build a plan per call; the
 harness builds one per point. WED and ED plans also score a group of
 windows' energy prefixes at once (:func:`energy_scores`), bit-identical to
 scoring each window on its own.
+
+A-ML's per-window buffers (the padded window, its squares, the mixture
+table and its accumulators, the sparse cells' gather and fold) are
+scratch: given a workspace, ``AmlPlan.scores`` takes them from it (see
+:func:`~zpsync.likelihood.scratch`). The harness keeps one workspace per
+chunk of trials, shared by every point, so the buffers grow to the largest
+point's once and are reused every window; buffers freed after each window
+would be handed back to the system and faulted in again by the next. The
+public ``aml_estimate`` call allocates its buffers per call.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .likelihood import (
     cell_constants,
     fold_cells,
     loglik_class_table,
+    scratch,
 )
 from .waveform import ConfigError, SystemConfig
 
@@ -182,12 +192,17 @@ class AmlPlan:
     parts: tuple  # scorers of the dense rows and of the sparse cells, in this order
     tag = "aml"
 
-    def scores(self, samples: np.ndarray) -> np.ndarray:
+    def scores(self, samples: np.ndarray, work: dict | None = None) -> np.ndarray:
+        """Scores of one window. The parts' scratch buffers come from the
+        workspace ``work`` when one is given (see
+        :func:`~zpsync.likelihood.scratch`), else they are allocated per
+        call; the scores are a new array either way."""
         scores = np.zeros(self.hyp.size)
-        # one part at a time, so that each one's buffers are freed before
-        # the next allocates its own
+        # one part at a time: the parts share the workspace's buffers, or
+        # without one, each part's buffers are freed before the next
+        # allocates its own
         for part in self.parts:
-            scores += part(samples)
+            scores += part(samples, work)
         return scores
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
@@ -265,14 +280,16 @@ def _dense_rows(
     # stream indices below 0 are class 0: the first -d samples when d < 0
     below = np.clip(-hyp.values, 0, m) if hyp.d_min < 0 and dense[0] else None
 
-    def scores(samples: np.ndarray) -> np.ndarray:
+    def scores(samples: np.ndarray, work: dict | None) -> np.ndarray:
         # prefix[:, k] is the log-likelihood of the first k samples per dense
         # class. A dummy leading sample with its column zeroed lets the
         # cumulative sum run in place: a second table-sized array per call
         # makes long windows pay page faults, which bends the linear runtime
         # scaling (C10).
-        padded = np.concatenate([np.zeros((samples.shape[0], 1)), samples], axis=1)
-        prefix = loglik_class_table(padded, vp, mixture, classes)
+        padded = scratch(work, "window", (samples.shape[0], samples.shape[1] + 1), np.complex128)
+        padded[:, 0] = 0.0
+        padded[:, 1:] = samples
+        prefix = loglik_class_table(padded, vp, mixture, classes, work=work)
         prefix[:, 0] = 0.0
         np.cumsum(prefix, axis=1, out=prefix)
         folded = _fold_periods(prefix, vp.block_len, n_periods).ravel()
@@ -326,8 +343,8 @@ def _sparse_cells(
     first = starts + (hyp.d_max - hyp.values)[:, None]
     last = first + lengths
 
-    def scores(samples: np.ndarray) -> np.ndarray:
-        cells = fold_cells(samples, positions, *constants)
+    def scores(samples: np.ndarray, work: dict | None) -> np.ndarray:
+        cells = fold_cells(samples, positions, *constants, work=work)
         np.copyto(cells, 0.0, where=outside)
         csum = np.concatenate([[0.0], np.cumsum(cells.sum(axis=0))])
         return (csum[last] - csum[first]).sum(axis=1)

@@ -261,8 +261,10 @@ class _PointTrials:
     """One sweep point's share of a chunk of trials: its link, its scoring
     plans, the scores of the current seed group and the outcomes so far."""
 
-    def __init__(self, spec: ExperimentSpec, value, hyp: HypothesisSet, group_len: int) -> None:
-        self.spec, self.value = spec, value
+    def __init__(
+        self, spec: ExperimentSpec, value, hyp: HypothesisSet, group_len: int, work: dict
+    ) -> None:
+        self.spec, self.value, self.work = spec, value, work
         self.config, self.mixture = config, scaled = _point_link(spec, value)
         m = config.window_len
         # the builders read locals, not self: a cycle through self would
@@ -301,7 +303,7 @@ class _PointTrials:
         if "aml" in trial_plans:
             t0 = time.perf_counter_ns()
             plan = trial_plans["aml"]
-            self.d_hat["aml"].append(plan.decide(plan.scores(samples)))
+            self.d_hat["aml"].append(plan.decide(plan.scores(samples, self.work)))
             self.elapsed["aml"] += time.perf_counter_ns() - t0
         if self.energy:
             t0 = time.perf_counter_ns()
@@ -339,14 +341,18 @@ def _run_trials(spec: ExperimentSpec, trial_indices) -> list[list[TrialOutcome]]
     share one convolved signal. Each estimator scores from a plan built once
     per point. On the ``pdp_alpha`` axis, where the assumed profile changes
     per trial, the plans that read it (A-ML's and WED's) are built once per
-    trial and point. A-ML scores each window as it is built. WED and ED keep
-    only each window's energy prefix, one buffer per point, and score the
-    whole group at its end.
+    trial and point. A-ML scores each window as it is built, every point
+    into one scratch workspace that lives as long as the call: its buffers
+    grow to the largest point's and are then reused, where fresh ones would
+    be faulted in again on every window. WED and ED keep only each window's
+    energy prefix, one buffer per point, and score the whole group at its
+    end.
     """
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
     group_len = min(_SEED_GROUP, len(trial_indices))
-    points = [_PointTrials(spec, value, hyp, group_len) for value in spec.values]
+    work: dict = {}
+    points = [_PointTrials(spec, value, hyp, group_len, work) for value in spec.values]
     sizes = {f: max(getattr(p.config, f) for p in points) for f in ("n_tx", "n_rx", "n_blocks")}
     drawn = dataclasses.replace(spec.config, **sizes)
 

@@ -19,6 +19,7 @@ thousands of samples cannot underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +171,26 @@ def window_loglik(
 _GROUP_ELEMENTS = 1 << 16
 
 
+def scratch(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of ``shape``: a fresh one when ``work`` is
+    None, else a view of the workspace ``work``'s flat buffer ``name``,
+    which grows to fit and is never shrunk. Callers that share a workspace
+    use each name with one dtype, and a buffer is theirs only until the next
+    call that reads it."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size, dtype)
+    return work[name][:size].reshape(shape)
+
+
 def loglik_class_table(
     y: np.ndarray,
     vp: VarianceProfile,
     mixture: NoiseMixture,
     classes: np.ndarray | None = None,
+    work: dict | None = None,
 ) -> np.ndarray:
     """Per-sample log densities against distinct profile variances.
 
@@ -189,10 +205,12 @@ def loglik_class_table(
 
     Works with in-place ufuncs on small scratch buffers: the only large
     allocation is the table itself, which keeps long-window timing free of
-    allocator noise. Mixtures go class by class on window-sized buffers;
-    single-component noise groups classes on short windows (see
-    :func:`_single_component_table`). A row's cells do not depend on which
-    other classes are selected.
+    allocator noise. Given a workspace ``work`` (see :func:`scratch`), the
+    squares and, under mixture noise, the table and its buffers come from
+    it; the table is then valid until the workspace's next use. Mixtures go
+    class by class on window-sized buffers; single-component noise groups
+    classes on short windows (see :func:`_single_component_table`). A row's
+    cells do not depend on which other classes are selected.
 
     Mixture components are folded in with the max-shifted log-sum-exp
     ``max(a, b) + log1p(exp(-|a - b|))``, the formula ``np.logaddexp``
@@ -206,20 +224,22 @@ def loglik_class_table(
     values = vp.class_values if classes is None else vp.class_values[classes]
     n_rx, m = y.shape
     # I and Q interleaved: one ufunc call covers both parts of every antenna
-    z2 = np.square(y.view(np.float64))
+    z2 = np.square(y.view(np.float64), out=scratch(work, "z2", (n_rx, 2 * m)))
     scales, offsets = _component_constants(values, mixture)
     if mixture.n_components == 1:
+        # fresh rows: the allocator reuses their freed pages unfaulted, while
+        # holding them and their group scratch in the workspace made a
+        # full_range sweep call fault 1362 against 716 pages
         return _single_component_table(z2, scales, offsets)
-    acc = np.empty_like(z2)
-    scratch = (np.empty_like(z2), np.empty_like(z2))
+    table = scratch(work, "table", (values.size, m))
+    acc, term, gap = (scratch(work, name, z2.shape) for name in ("acc", "term", "gap"))
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
-    table = np.empty((values.size, m))
     # per (class, component) constants as Python floats: scalar numpy
     # arithmetic inside the loop would add a fixed cost per call that is a
     # large share of a short window
     for t_row, scale, offset in zip(table, scales.tolist(), offsets.tolist()):
-        _fold_components(z2, scale, offset, acc, *scratch)
+        _fold_components(z2, scale, offset, acc, term, gap)
         np.add(parts[0], parts[1], out=t_row)
         for part in parts[2:]:
             t_row += part
@@ -240,7 +260,11 @@ def loglik_cells(
     array shaped like ``positions`` whose cell holds
     log p(y[:, positions[..., i]] | class cell_class[i]) summed over
     antennas: :func:`fold_cells` with the constants of :func:`cell_constants`.
+    Positions outside ``[0, m)`` raise :class:`ConfigError`.
     """
+    positions, m = np.asarray(positions), np.shape(y)[-1]
+    if positions.size and not 0 <= positions.min() <= positions.max() < m:
+        raise ConfigError(f"cell positions must lie in [0, {m})")
     return fold_cells(y, positions, *cell_constants(cell_class, vp, mixture))
 
 
@@ -254,27 +278,36 @@ def cell_constants(cell_class: np.ndarray, vp: VarianceProfile, mixture: NoiseMi
 
 
 def fold_cells(
-    y: np.ndarray, positions: np.ndarray, scales: np.ndarray, offsets: np.ndarray
+    y: np.ndarray,
+    positions: np.ndarray,
+    scales: np.ndarray,
+    offsets: np.ndarray,
+    work: dict | None = None,
 ) -> np.ndarray:
     """The log densities of :func:`loglik_cells`, from the constants of
     :func:`cell_constants`. The components are folded as in
     :func:`loglik_class_table`, with each column's constants broadcast along
     the leading axes; the scratch buffers are the size of the gather, not of
-    the window."""
-    y = np.atleast_2d(y)
+    the window, and come from the workspace ``work`` when one is given (see
+    :func:`scratch`). ``positions`` must lie in ``[0, m)``."""
+    y = np.asarray(np.atleast_2d(y), dtype=np.complex128)
     n_rx = y.shape[0]
     n_cells = positions.shape[-1]
+    # mode="clip" lets take write straight into the buffer: the default
+    # "raise" gathers into a copy first
+    gather = np.take(y, positions, axis=1, mode="clip",
+                     out=scratch(work, "gather", (n_rx,) + positions.shape, np.complex128))
     # I and Q interleaved, (n_rx, ..., 2 * n_cells)
-    z2 = np.take(y, positions, axis=1).astype(np.complex128, copy=False).view(np.float64)
+    z2 = gather.view(np.float64)
     np.square(z2, out=z2)
-    acc = np.empty_like(z2)
+    acc = scratch(work, "acc", z2.shape)
     # the gather is private and the last term is its last reader, so with
     # two components that term overwrites it: one buffer fewer
-    term = z2 if len(scales) == 2 else np.empty_like(z2)
-    _fold_components(z2, scales, offsets, acc, term, np.empty_like(z2))
+    term = z2 if len(scales) == 2 else scratch(work, "term", z2.shape)
+    _fold_components(z2, scales, offsets, acc, term, scratch(work, "gap", z2.shape))
     # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = acc.reshape(acc.shape[:-1] + (n_cells, 2))
-    out = np.add(parts[0, ..., 0], parts[0, ..., 1])
+    out = np.add(parts[0, ..., 0], parts[0, ..., 1], out=scratch(work, "cells", positions.shape))
     for r in range(1, n_rx):
         out += parts[r, ..., 0]
         out += parts[r, ..., 1]

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,8 +322,8 @@ class TestDenseRows:
         window = assemble_window(cfg, profile, mixture, 0, seed=(3, 0), d_pad=max(0, -d_min))
         built = []
 
-        def spy(*args):
-            table = real(*args)
+        def spy(*args, **kwargs):
+            table = real(*args, **kwargs)
             built.append(table.shape[0])
             return table
 
@@ -342,6 +344,62 @@ class TestDenseRows:
     def test_gaussian_noise_builds_every_row(self, monkeypatch):
         rows, n_classes = self.rows_built(monkeypatch, {"noise": "gaussian"}, -30, 30)
         assert rows == n_classes
+
+
+class TestWorkspace:
+    """A-ML scored into one reused scratch workspace, as a sweep scores
+    every point of a trial chunk, equals the fresh public call bit for bit
+    and allocates almost nothing once the workspace has grown."""
+
+    @staticmethod
+    def link(n_rx, n_blocks, noise, d_min, d_max):
+        settings_ = presets.merge_settings(
+            presets.load_preset("fig5"), {"n_blocks": n_blocks, "noise": noise}
+        )
+        cfg = dataclasses.replace(
+            presets.config_from_settings(settings_), n_tx=n_rx, n_rx=n_rx, snr_db=5.0
+        )
+        profile = presets.profile_from_settings(settings_, cfg.n_taps)
+        mixture = scale_mixture_to_snr(
+            presets.mixture_from_settings(settings_), cfg.signal_power, cfg.snr_db
+        )
+        vp = variance_profile_h0(cfg, profile)
+        hyp = HypothesisSet(d_min, d_max)
+        return cfg, profile, mixture, vp, hyp, estimators.aml_plan(vp, mixture, hyp, cfg.window_len)
+
+    def test_reused_workspace_scores_equal_public_call(self):
+        work = {}
+        # consecutive cases alternate antennas, then hypothesis sets, noise
+        # and window lengths, so the buffers grow, shrink and grow again
+        cases = itertools.product(
+            [10, 1, 10], ["impulsive", "gaussian"], [(-30, 30), (0, 531)], [1, 2]
+        )
+        for t, (n_blocks, noise, (d_min, d_max), n_rx) in enumerate(cases):
+            cfg, profile, mixture, vp, hyp, plan = self.link(n_rx, n_blocks, noise, d_min, d_max)
+            window = assemble_window(
+                cfg, profile, mixture, (7 * t) % (d_max + 1) + d_min, seed=(4, t),
+                d_pad=max(0, -d_min),
+            )
+            np.testing.assert_array_equal(
+                plan.scores(window.samples, work), aml_estimate(window, vp, mixture, hyp).scores
+            )
+
+    def test_warm_workspace_allocates_little(self):
+        cfg, profile, mixture, _, _, plan = self.link(2, 10, "impulsive", -30, 30)
+        windows = [
+            assemble_window(cfg, profile, mixture, d, seed=(5, k), d_pad=30).samples
+            for k, d in enumerate((3, -12))
+        ]
+        work = {}
+        plan.scores(windows[0], work)
+        tracemalloc.start()
+        try:
+            plan.scores(windows[1], work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fresh set of buffers for this window takes about 1.4 MB
+        assert peak < 256 * 1024
 
 
 # absolute floor for scores whose per-sample terms cancel to near zero

@@ -336,6 +336,13 @@ class TestClassSubsetAndCells:
         # bitwise, so dense and sparse A-ML read the same log densities
         np.testing.assert_array_equal(cells, full[cell_class[None, :], positions])
 
+    @pytest.mark.parametrize("position", [-1, 40])
+    def test_positions_outside_window_rejected(self, position):
+        vp = VarianceProfile(np.array([0.0, 0.5, 1.0, 0.5]))
+        y = np.ones((1, 40), dtype=np.complex128)
+        with pytest.raises(ConfigError, match="cell positions"):
+            loglik_cells(y, np.array([[0, position]]), np.array([1, 2]), vp, IMPULSIVE)
+
 
 class TestSingleComponentTable:
     """Grouping classes per ufunc call changes no cell: every cell equals the
