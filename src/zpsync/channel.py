@@ -9,7 +9,7 @@ bit-exact shifts of each other.
 Every draw comes from its own substream, keyed ``(seed, purpose, antenna,
 block)``. A stream is built in two steps. :func:`draw_stream` takes a
 trial's seeds to its raw draws in a few array passes: :func:`window_seeds`
-derives the seeds of all its substreams (of a whole group of trials, in the
+derives the seeds of all its substreams (of a whole chunk of trials, in the
 harness) in one numpy pass of ``SeedSequence``'s hash, all blocks' data go
 through one inverse DFT, and each noise substream writes its unit normals
 straight into one array. :func:`stream_signal` and :func:`finish_stream`
@@ -151,7 +151,7 @@ def _pcg64_seeds(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _stream_suffixes(n_tx: int, n_rx: int, n_blocks: int, pre_pad: bool) -> tuple:
     """The path suffix of every substream of a window, in the order
-    :func:`build_stream` reads them, as (suffix words (n_streams, 3), suffix
+    :func:`draw_stream` reads them, as (suffix words (n_streams, 3), suffix
     lengths): ``(STREAM_CHANNEL,)``, then ``(STREAM_SIGNAL, i, n)``, then
     ``(STREAM_NOISE, j, b)`` with b = 0 only under a pre-pad."""
     n_gen = n_blocks + 1
@@ -171,12 +171,12 @@ def _stream_suffixes(n_tx: int, n_rx: int, n_blocks: int, pre_pad: bool) -> tupl
 def window_seeds(
     config: SystemConfig, d_pad: int, seed: tuple[int, ...], trials=None
 ) -> np.ndarray:
-    """PCG64 seeds of every substream :func:`build_stream` reads, for a
+    """PCG64 seeds of every substream :func:`draw_stream` reads, for a
     group of trials at once.
 
     The trials are seeded ``seed + (t,)`` for each t in ``trials`` (each
     below 2**32), or ``seed`` alone when ``trials`` is None. Returns shape
-    (n_trials, n_streams, 4) in the order build_stream reads the streams:
+    (n_trials, n_streams, 4) in the order draw_stream reads the streams:
     the channel, the signal blocks ``(i, n)``, then the noise substreams
     ``(j, b)``, with b = 0 only when d_pad > 0. Each seed is the state
     :func:`substream` gives the same path: the hash runs over numpy arrays
@@ -571,24 +571,6 @@ def finish_stream(
     return samples
 
 
-def build_stream(
-    config: SystemConfig,
-    profile: DelayProfile,
-    mixture: NoiseMixture,
-    seed: tuple[int, ...],
-    d_pad: int,
-    channel: np.ndarray | None = None,
-    seeds: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The whole receive stream of :func:`draw_stream`, for indices
-    [-d_pad, (n_blocks+1)*block_len), and its channel taps. Bit-identical
-    to drawing every block with ``generate_block`` and ``draw_noise`` on
-    its own substream."""
-    draws = draw_stream(config, profile, mixture, seed, d_pad, seeds)
-    signal, channel = stream_signal(draws, config, profile, channel)
-    return finish_stream(draws, mixture, signal, 0, draws.noise.shape[1]), channel
-
-
 def assemble_window(
     config: SystemConfig,
     profile: DelayProfile,
@@ -597,7 +579,6 @@ def assemble_window(
     seed: int | tuple[int, ...],
     d_pad: int | None = None,
     channel: np.ndarray | None = None,
-    seeds: np.ndarray | None = None,
 ) -> ReceivedWindow:
     """Build the receiver's observation window for a true timing offset.
 
@@ -605,8 +586,7 @@ def assemble_window(
     the receiver started early and captures that many leading noise samples.
     ``seed`` identifies the trial; pass ``channel`` (taps as
     :func:`draw_channel` returns them) to pin the channel (noise-free oracle
-    tests), and ``seeds`` to hand :func:`draw_stream` the trial's
-    pre-derived substream seeds (see :func:`window_seeds`).
+    tests).
     """
     seed_t = (seed,) if isinstance(seed, int) else tuple(seed)
     n_s = config.block_len
@@ -618,7 +598,7 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    draws = draw_stream(config, profile, mixture, seed_t, d_pad, seeds)
+    draws = draw_stream(config, profile, mixture, seed_t, d_pad)
     signal, channel = stream_signal(draws, config, profile, channel)
     start = d_pad + d_true
     samples = finish_stream(draws, mixture, signal, start, start + config.window_len)

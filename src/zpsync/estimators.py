@@ -32,9 +32,9 @@ What an estimator reads besides the window depends only on the sweep point,
 so it is built once into a frozen plan (:func:`aml_plan`, :func:`wed_plan`,
 :func:`ed_plan`): the run offsets and weights, and A-ML's class split with
 its gather layout. The public ``*_estimate`` calls build a plan per call; the
-harness builds one per point. WED and ED plans also score a group of
-windows' energy prefixes at once (:func:`energy_scores`), bit-identical to
-scoring each window on its own.
+harness builds one per point and chunk of trials. WED and ED plans also
+score a group of windows' energy prefixes at once (:func:`energy_scores`),
+bit-identical to scoring each window on its own.
 
 A-ML's per-window buffers (the padded window, its squares, the mixture
 table and its accumulators, the sparse cells' gather and fold) are

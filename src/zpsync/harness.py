@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +130,9 @@ class ExperimentSpec:
         object.__setattr__(self, "values", values)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
+        for name in ("trials", "workers", "master_seed", "d_min", "d_max"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep axis needs at least one value")
         if self.trials < 1:
@@ -165,11 +168,11 @@ class ExperimentSpec:
 class TrialOutcome:
     """One trial's true and estimated offsets.
 
-    ``elapsed_ns`` is shared by every trial of a group of ``_SEED_GROUP``
-    trials: it holds the group's mean time per estimator, since WED and ED
-    score the whole group at once. WED and ED split the energy prefix they
-    share evenly. The mean over a point's trials is its total over its trial
-    count, up to integer rounding.
+    ``elapsed_ns`` is shared by every trial of a chunk of at most
+    ``_SEED_GROUP`` trials: it holds the chunk's mean time per estimator,
+    since WED and ED score the whole chunk at once. WED and ED split the
+    energy prefix they share evenly. The mean over a point's trials is its
+    total over its trial count, up to integer rounding.
     """
 
     trial_index: int
@@ -252,17 +255,18 @@ def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture
     return config, scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
 
 
-# trials whose window seeds are derived, and whose WED and ED scores are
-# computed, in one pass: bounds that pass's arrays whatever the trial count
+# the most trials one ``_run_trials`` call runs: their window seeds are
+# derived, and their WED and ED scores computed, in one pass, so this bounds
+# that pass's arrays whatever the trial count
 _SEED_GROUP = 64
 
 
 class _PointTrials:
     """One sweep point's share of a chunk of trials: its link, its scoring
-    plans, the scores of the current seed group and the outcomes so far."""
+    plans and the chunk's A-ML estimates and energy prefixes so far."""
 
     def __init__(
-        self, spec: ExperimentSpec, value, hyp: HypothesisSet, group_len: int, work: dict
+        self, spec: ExperimentSpec, value, hyp: HypothesisSet, n_trials: int, work: dict
     ) -> None:
         self.spec, self.value, self.work = spec, value, work
         self.config, self.mixture = config, scaled = _point_link(spec, value)
@@ -277,17 +281,13 @@ class _PointTrials:
         vp = variance_profile_h0(config, spec.profile)
         self.plans = {est: self.build[est](vp) for est in spec.estimators}
         self.energy = [est for est in spec.estimators if est != "aml"]
-        self.prefix = np.empty((group_len, m + 1))
-        self.outcomes: list[TrialOutcome] = []
-        self._start_group()
-
-    def _start_group(self) -> None:
-        self.elapsed = dict.fromkeys(self.spec.estimators, 0)
-        self.d_hat = {est: [] for est in self.spec.estimators}
-        self.group_plans = []
+        self.prefix = np.empty((n_trials, m + 1))
+        self.elapsed = dict.fromkeys(spec.estimators, 0)
+        self.d_hat = {est: [] for est in spec.estimators}
+        self.trial_plans = []
 
     def score(self, k: int, samples: np.ndarray, signs: np.ndarray | None) -> None:
-        """Score the window of the group's trial ``k``; ``signs`` are the
+        """Score the window of the chunk's trial ``k``; ``signs`` are the
         trial's profile-error signs on the ``pdp_alpha`` axis."""
         trial_plans = self.plans
         if signs is not None and self.value > 0:
@@ -298,7 +298,7 @@ class _PointTrials:
                 est: self.build[est](vp) if est != "ed" else plan
                 for est, plan in self.plans.items()
             }
-        self.group_plans.append(trial_plans)
+        self.trial_plans.append(trial_plans)
         check_finite(samples)
         if "aml" in trial_plans:
             t0 = time.perf_counter_ns()
@@ -312,84 +312,75 @@ class _PointTrials:
             for est in self.energy:
                 self.elapsed[est] += shared_ns
 
-    def end_group(self, group, d_true: list[int]) -> None:
-        """Score WED and ED over the group and keep its outcomes."""
+    def outcomes(self, trials: range, d_true: list[int]) -> list[TrialOutcome]:
+        """Score WED and ED over the chunk and return its outcomes."""
         for est in self.energy:
             t0 = time.perf_counter_ns()
-            est_plans = [p[est] for p in self.group_plans]
-            scores = energy_scores(est_plans, self.prefix[: len(group)])
-            self.d_hat[est] = est_plans[0].decide(scores)
+            est_plans = [p[est] for p in self.trial_plans]
+            self.d_hat[est] = est_plans[0].decide(energy_scores(est_plans, self.prefix))
             self.elapsed[est] += time.perf_counter_ns() - t0
-        # one mapping per group: each trial carries the group's mean times
-        mean_ns = {est: round(ns / len(group)) for est, ns in self.elapsed.items()}
-        self.outcomes += [
+        # one mapping per chunk: each trial carries the chunk's mean times
+        mean_ns = {est: round(ns / len(trials)) for est, ns in self.elapsed.items()}
+        return [
             TrialOutcome(t, d, {est: int(self.d_hat[est][k]) for est in self.d_hat}, mean_ns)
-            for k, (t, d) in enumerate(zip(group, d_true))
+            for k, (t, d) in enumerate(zip(trials, d_true))
         ]
-        self._start_group()
 
 
-def _run_trials(spec: ExperimentSpec, trial_indices) -> list[list[TrialOutcome]]:
-    """Outcomes of the given trials at every sweep point, one list per value
-    of ``spec.values``, ``_SEED_GROUP`` trials at a time.
+def _run_trials(spec: ExperimentSpec, trials: range) -> list[list[TrialOutcome]]:
+    """Outcomes of a chunk of at most ``_SEED_GROUP`` trials at every sweep
+    point, one list per value of ``spec.values``.
 
-    The run is trial-major. Each trial's substreams are drawn once, for the
-    sweep's largest link (the most tx antennas, rx antennas and blocks of
-    any point), and every point's window is finished from those draws:
-    a smaller link's draws are a prefix of them (see
-    :func:`~zpsync.channel.draw_stream`). Points with the same antennas
-    share one convolved signal. Each estimator scores from a plan built once
-    per point. On the ``pdp_alpha`` axis, where the assumed profile changes
-    per trial, the plans that read it (A-ML's and WED's) are built once per
-    trial and point. A-ML scores each window as it is built, every point
-    into one scratch workspace that lives as long as the call: its buffers
-    grow to the largest point's and are then reused, where fresh ones would
-    be faulted in again on every window. WED and ED keep only each window's
-    energy prefix, one buffer per point, and score the whole group at its
+    The run is trial-major. The window seeds of the whole chunk are derived
+    at once. Each trial's substreams are drawn once, for the sweep's largest
+    link (the most tx antennas, rx antennas and blocks of any point), and
+    every point's window is finished from those draws: a smaller link's
+    draws are a prefix of them (see :func:`~zpsync.channel.draw_stream`).
+    Points with the same antennas share one convolved signal. Each
+    estimator scores from a plan built once per point and chunk. On the
+    ``pdp_alpha`` axis, where the assumed profile changes per trial, the
+    plans that read it (A-ML's and WED's) are built once per trial and
+    point. A-ML scores each window as it is built, every point into one
+    scratch workspace that lives as long as the call: its buffers grow to
+    the largest point's and are then reused, where fresh ones would be
+    faulted in again on every window. WED and ED keep only each window's
+    energy prefix, one buffer per point, and score the whole chunk at its
     end.
     """
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
-    group_len = min(_SEED_GROUP, len(trial_indices))
     work: dict = {}
-    points = [_PointTrials(spec, value, hyp, group_len, work) for value in spec.values]
+    points = [_PointTrials(spec, value, hyp, len(trials), work) for value in spec.values]
     sizes = {f: max(getattr(p.config, f) for p in points) for f in ("n_tx", "n_rx", "n_blocks")}
     drawn = dataclasses.replace(spec.config, **sizes)
-
-    for start in range(0, len(trial_indices), _SEED_GROUP):
-        group = trial_indices[start : start + _SEED_GROUP]
-        seeds = window_seeds(drawn, d_pad, (spec.master_seed,), group)
-        d_true = []
-        for k, t in enumerate(group):
-            delay = substream(spec.master_seed, t, STREAM_DELAY)
-            d_true.append(int(delay.integers(spec.d_min, spec.d_max + 1)))
-            signs = None
-            if spec.axis == "pdp_alpha":
-                rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
-                signs = rng.integers(0, 2, size=spec.config.n_taps) * 2 - 1
-            # free the last trial's signals before this trial draws: a higher
-            # peak let the allocator hand the heap top back to the system
-            # and fault it in again on every call
-            signals = {}
-            draws = draw_stream(
-                drawn, spec.profile, spec.mixture, (spec.master_seed, t), d_pad, seeds[k]
-            )
-            lo = d_pad + d_true[-1]
-            for point in points:
-                link = (point.config.n_tx, point.config.n_rx)
-                if link not in signals:
-                    signals[link] = stream_signal(draws, point.config, spec.profile)[0]
-                hi = lo + point.config.window_len
-                point.score(k, finish_stream(draws, point.mixture, signals[link], lo, hi), signs)
+    seeds = window_seeds(drawn, d_pad, (spec.master_seed,), trials)
+    d_true = []
+    for k, t in enumerate(trials):
+        delay = substream(spec.master_seed, t, STREAM_DELAY)
+        d_true.append(int(delay.integers(spec.d_min, spec.d_max + 1)))
+        signs = None
+        if spec.axis == "pdp_alpha":
+            rng = substream(spec.master_seed, t, STREAM_PDP_ERROR)
+            signs = rng.integers(0, 2, size=spec.config.n_taps) * 2 - 1
+        # free the last trial's signals before this trial draws: a higher
+        # peak let the allocator hand the heap top back to the system
+        # and fault it in again on every call
+        signals = {}
+        draws = draw_stream(
+            drawn, spec.profile, spec.mixture, (spec.master_seed, t), d_pad, seeds[k]
+        )
+        lo = d_pad + d_true[-1]
         for point in points:
-            point.end_group(group, d_true)
-    return [point.outcomes for point in points]
+            link = (point.config.n_tx, point.config.n_rx)
+            if link not in signals:
+                signals[link] = stream_signal(draws, point.config, spec.profile)[0]
+            hi = lo + point.config.window_len
+            point.score(k, finish_stream(draws, point.mixture, signals[link], lo, hi), signs)
+    return [point.outcomes(trials, d_true) for point in points]
 
 
-def _chunks(n: int, pieces: int) -> list[range]:
-    pieces = max(1, min(pieces, n))
-    bounds = np.linspace(0, n, pieces + 1).astype(int)
-    return [range(bounds[i], bounds[i + 1]) for i in range(pieces) if bounds[i] < bounds[i + 1]]
+def _chunks(n: int, size: int) -> list[range]:
+    return [range(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
@@ -404,12 +395,12 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     all_outcomes: dict = {}
     processes = min(spec.workers, spec.trials, os.cpu_count() or 1)
     pool_context = (
-        ProcessPoolExecutor(processes) if spec.workers > 1 else contextlib.nullcontext()
+        futures.ProcessPoolExecutor(processes) if spec.workers > 1 else contextlib.nullcontext()
     )
     with pool_context as pool:
-        parts = _chunks(spec.trials, 4 * processes if pool else 1)
+        size = min(_SEED_GROUP, math.ceil(spec.trials / (4 * processes))) if pool else _SEED_GROUP
         run = functools.partial(_run_trials, spec)
-        chunks = list((pool.map if pool else map)(run, parts))
+        chunks = list((pool.map if pool else map)(run, _chunks(spec.trials, size)))
     for p, value in enumerate(spec.values):
         outcomes = [o for chunk in chunks for o in chunk[p]]
         for est in spec.estimators:

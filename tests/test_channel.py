@@ -23,7 +23,6 @@ from zpsync.channel import (
     _pcg64_seeds,
     _scale_noise,
     _seeded,
-    build_stream,
     convolve_frame,
     draw_stream,
     finish_stream,
@@ -309,6 +308,14 @@ class TestConvolveFrame:
         np.testing.assert_allclose(convolve_frame(block, taps), toeplitz @ block, atol=1e-12)
 
 
+def build_stream(config, profile, mixture, seed, d_pad):
+    """The whole receive stream and channel of a trial, drawn and finished
+    in the harness's steps."""
+    draws = draw_stream(config, profile, mixture, seed, d_pad)
+    signal, channel = stream_signal(draws, config, profile)
+    return finish_stream(draws, mixture, signal, 0, draws.noise.shape[1]), channel
+
+
 def per_block_stream(config, profile, mixture, seed, d_pad):
     """The receive stream drawn one block and one noise substream at a time,
     each tx convolution summed before the noise is added."""
@@ -479,11 +486,13 @@ class TestWindowSeeds:
         mixture = scale_mixture_to_snr(mixture_from_settings(link), 1.0, 5.0)
         seeds = window_seeds(config, d_pad, (9,), [3, 4])
         for t, row in zip([3, 4], seeds):
-            args = (config, profile, mixture, 7, (9, t), d_pad)
-            derived = assemble_window(*args)
-            handed = assemble_window(*args, seeds=row)
-            np.testing.assert_array_equal(handed.samples, derived.samples)
-            np.testing.assert_array_equal(handed.channel, derived.channel)
+            derived = assemble_window(config, profile, mixture, 7, (9, t), d_pad)
+            draws = draw_stream(config, profile, mixture, (9, t), d_pad, row)
+            signal, channel = stream_signal(draws, config, profile)
+            lo = d_pad + 7
+            handed = finish_stream(draws, mixture, signal, lo, lo + config.window_len)
+            np.testing.assert_array_equal(handed, derived.samples)
+            np.testing.assert_array_equal(channel, derived.channel)
 
 
 class TestAssembleWindow:

@@ -63,6 +63,22 @@ def small_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+class SerialPool:
+    """The process pool's interface, mapping in this process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
         for successes in (0, 3, 17, 20):
@@ -160,6 +176,24 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigError, match="workers"):
             small_spec(workers=workers)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 10.5),
+            ("trials", True),
+            ("workers", 2.0),
+            ("master_seed", 2.5),
+            ("master_seed", "7"),
+            ("d_min", 0.5),
+            ("d_max", np.float64(8.0)),
+        ],
+    )
+    def test_counts_must_be_ints(self, field, value):
+        # 10.5 trials ran 10 and reported 6/10.5; d_min=0.5 and
+        # master_seed=2.5 died in the run with a traceback
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            small_spec(**{field: value})
+
     def test_hash_ignores_workers(self, tmp_path):
         # serial and parallel runs are identical, so they share a hash; the
         # sidecar still records the worker count
@@ -251,12 +285,12 @@ class TestRunSweep:
     def test_worker_pool_matches_serial(self, monkeypatch):
         pools = []
 
-        class CountingPool(harness.ProcessPoolExecutor):
+        class CountingPool(harness.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "futures", mock.Mock(ProcessPoolExecutor=CountingPool))
         # every axis runs through one path: the SNR, the p0 link and the
         # per-trial profile perturbation of pdp_alpha
         specs = (
@@ -357,20 +391,11 @@ class TestRunSweep:
         # forked at the first submit, whatever the trial count
         asked = []
 
-        class SerialPool:
+        class CountingPool(SerialPool):
             def __init__(self, max_workers=None):
                 asked.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "futures", mock.Mock(ProcessPoolExecutor=CountingPool))
         spec = small_spec(trials=3)
         pooled = run_sweep(dataclasses.replace(spec, workers=10**6), keep_outcomes=True)
         assert len(asked) == 1 and 1 <= asked[0] <= 3
@@ -402,6 +427,27 @@ class TestRunSweep:
                     assert [(o.trial_index, o.d_true, o.d_hat) for o in whole.outcomes[value]] == [
                         (o.trial_index, o.d_true, o.d_hat) for o in grouped.outcomes[value]
                     ], (spec.axis, spec.estimators, size)
+
+    def test_chunk_layout(self, monkeypatch):
+        # each _run_trials call runs one chunk of at most _SEED_GROUP trials;
+        # a serial sweep cuts at every _SEED_GROUP trials
+        real_run = harness._run_trials
+        calls = []
+
+        def run(spec, trials):
+            calls.append(trials)
+            return real_run(spec, trials)
+
+        monkeypatch.setattr(harness, "_run_trials", run)
+        monkeypatch.setattr(harness, "_SEED_GROUP", 5)
+        spec = small_spec(trials=12)
+        run_sweep(spec)
+        assert calls == [range(0, 5), range(5, 10), range(10, 12)]
+        calls.clear()
+        monkeypatch.setattr(harness, "futures", mock.Mock(ProcessPoolExecutor=SerialPool))
+        run_sweep(dataclasses.replace(spec, workers=2))
+        assert [t for chunk in calls for t in chunk] == list(range(12))
+        assert all(1 <= len(chunk) <= 5 for chunk in calls)
 
     def test_group_shares_one_timing_mapping(self, monkeypatch):
         # each trial of a group carries the group's mean time per estimator,
