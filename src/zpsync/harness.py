@@ -56,7 +56,7 @@ from .estimators import (
     energy_scores,
     wed_plan,
 )
-from .likelihood import b_function, variance_profile_h0
+from .likelihood import b_function, scratch, variance_profile_h0
 from .waveform import ConfigError, SystemConfig, draw_block_data
 
 
@@ -266,10 +266,10 @@ class _PointTrials:
     plans and the chunk's A-ML estimates and energy prefixes so far."""
 
     def __init__(
-        self, spec: ExperimentSpec, value, hyp: HypothesisSet, n_trials: int, work: dict
+        self, spec: ExperimentSpec, p: int, hyp: HypothesisSet, n_trials: int, work: dict
     ) -> None:
-        self.spec, self.value, self.work = spec, value, work
-        self.config, self.mixture = config, scaled = _point_link(spec, value)
+        self.spec, self.value, self.work = spec, spec.values[p], work
+        self.config, self.mixture = config, scaled = _point_link(spec, self.value)
         m = config.window_len
         # the builders read locals, not self: a cycle through self would
         # leave each point, with its plans, to the cyclic garbage collector
@@ -281,7 +281,7 @@ class _PointTrials:
         vp = variance_profile_h0(config, spec.profile)
         self.plans = {est: self.build[est](vp) for est in spec.estimators}
         self.energy = [est for est in spec.estimators if est != "aml"]
-        self.prefix = np.empty((n_trials, m + 1))
+        self.prefix = scratch(work, f"prefix{p}", (n_trials, m + 1))
         self.elapsed = dict.fromkeys(spec.estimators, 0)
         self.d_hat = {est: [] for est in spec.estimators}
         self.trial_plans = []
@@ -327,9 +327,10 @@ class _PointTrials:
         ]
 
 
-def _run_trials(spec: ExperimentSpec, trials: range) -> list[list[TrialOutcome]]:
+def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[TrialOutcome]]:
     """Outcomes of a chunk of at most ``_SEED_GROUP`` trials at every sweep
-    point, one list per value of ``spec.values``.
+    point, one list per value of ``spec.values``, scored into the scratch
+    workspace ``work``.
 
     The run is trial-major. The window seeds of the whole chunk are derived
     at once. Each trial's substreams are drawn once, for the sweep's largest
@@ -340,17 +341,16 @@ def _run_trials(spec: ExperimentSpec, trials: range) -> list[list[TrialOutcome]]
     estimator scores from a plan built once per point and chunk. On the
     ``pdp_alpha`` axis, where the assumed profile changes per trial, the
     plans that read it (A-ML's and WED's) are built once per trial and
-    point. A-ML scores each window as it is built, every point into one
-    scratch workspace that lives as long as the call: its buffers grow to
-    the largest point's and are then reused, where fresh ones would be
-    faulted in again on every window. WED and ED keep only each window's
-    energy prefix, one buffer per point, and score the whole chunk at its
-    end.
+    point. A-ML scores each window as it is built, every point into the
+    workspace: its buffers grow to the largest point's and are then reused,
+    where fresh ones would be faulted in again on every window. WED and ED
+    keep only each window's energy prefix, in one workspace buffer per
+    point, and score the whole chunk at its end. A serial sweep hands every
+    chunk the same workspace, so no chunk after the first faults them in.
     """
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
-    work: dict = {}
-    points = [_PointTrials(spec, value, hyp, len(trials), work) for value in spec.values]
+    points = [_PointTrials(spec, p, hyp, len(trials), work) for p in range(len(spec.values))]
     sizes = {f: max(getattr(p.config, f) for p in points) for f in ("n_tx", "n_rx", "n_blocks")}
     drawn = dataclasses.replace(spec.config, **sizes)
     seeds = window_seeds(drawn, d_pad, (spec.master_seed,), trials)
@@ -399,7 +399,8 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     )
     with pool_context as pool:
         size = min(_SEED_GROUP, math.ceil(spec.trials / (4 * processes))) if pool else _SEED_GROUP
-        run = functools.partial(_run_trials, spec)
+        # one workspace for every chunk; a pool task gets its own copy
+        run = functools.partial(_run_trials, spec, {})
         chunks = list((pool.map if pool else map)(run, _chunks(spec.trials, size)))
     for p, value in enumerate(spec.values):
         outcomes = [o for chunk in chunks for o in chunk[p]]

@@ -434,9 +434,9 @@ class TestRunSweep:
         real_run = harness._run_trials
         calls = []
 
-        def run(spec, trials):
+        def run(spec, work, trials):
             calls.append(trials)
-            return real_run(spec, trials)
+            return real_run(spec, work, trials)
 
         monkeypatch.setattr(harness, "_run_trials", run)
         monkeypatch.setattr(harness, "_SEED_GROUP", 5)
@@ -448,6 +448,29 @@ class TestRunSweep:
         run_sweep(dataclasses.replace(spec, workers=2))
         assert [t for chunk in calls for t in chunk] == list(range(12))
         assert all(1 <= len(chunk) <= 5 for chunk in calls)
+
+    def test_serial_chunks_reuse_one_workspace(self, monkeypatch):
+        # the energy prefixes and A-ML's scratch outlive a chunk: a chunk
+        # after the first finds its buffers allocated, not fresh ones to fault
+        real_run = harness._run_trials
+        buffers = []
+
+        def run(spec, work, trials):
+            result = real_run(spec, work, trials)
+            buffers.append({name: buf for name, buf in work.items()})
+            return result
+
+        monkeypatch.setattr(harness, "_run_trials", run)
+        monkeypatch.setattr(harness, "_SEED_GROUP", 5)
+        run_sweep(small_spec(
+            trials=12, values=(6.0, 12.0), estimators=("aml", "wed", "ed"),
+            mixture=NoiseMixture.gaussian(), d_min=0, d_max=8,
+        ))
+        assert len(buffers) == 3
+        assert {"prefix0", "prefix1", "window"} <= buffers[0].keys()
+        for later in buffers[1:]:
+            assert later.keys() == buffers[0].keys()
+            assert all(later[name] is buf for name, buf in buffers[0].items())
 
     def test_group_shares_one_timing_mapping(self, monkeypatch):
         # each trial of a group carries the group's mean time per estimator,
