@@ -40,10 +40,10 @@ A-ML's per-window buffers (the padded window, its squares, the mixture
 table and its accumulators, the sparse cells' gather and fold) are
 scratch: given a workspace, ``AmlPlan.scores`` takes them from it (see
 :func:`~zpsync.likelihood.scratch`). The harness keeps one workspace per
-chunk of trials, shared by every point, so the buffers grow to the largest
-point's once and are reused every window; buffers freed after each window
-would be handed back to the system and faulted in again by the next. The
-public ``aml_estimate`` call allocates its buffers per call.
+serial sweep, shared by every point and chunk, so the buffers grow to the
+largest point's once and are reused every window; buffers freed after each
+window would be handed back to the system and faulted in again by the
+next. The public ``aml_estimate`` call allocates its buffers per call.
 """
 
 from __future__ import annotations
