@@ -474,23 +474,22 @@ def draw_stream(
     config: SystemConfig,
     profile: DelayProfile,
     mixture: NoiseMixture,
-    seed: tuple[int, ...],
     d_pad: int,
-    seeds: np.ndarray | None = None,
+    seeds: np.ndarray,
 ) -> StreamDraws:
     """Draw a trial's stream for indices [-d_pad, (n_blocks+1)*block_len),
     before any scaling.
 
     Index 0 is the first transmitted sample; the d_pad leading samples are
     pure noise. One extra block beyond n_blocks is drawn so windows
-    starting anywhere up to block_len - 1 stay in support. All draws come
-    from substreams of ``seed``, independent of d_pad slicing: the channel
-    from ``(seed, STREAM_CHANNEL)``, block n of tx antenna i from
-    ``(seed, STREAM_SIGNAL, i, n)``, and on rx antenna j the pre-pad noise
-    from ``(seed, STREAM_NOISE, j, 0)`` (not derived when d_pad is 0) and
-    the noise under block n from ``(seed, STREAM_NOISE, j, n + 1)``.
-    ``seeds`` holds those substreams' seeds as :func:`window_seeds` derives
-    them for a group of trials; without it they are derived here.
+    starting anywhere up to block_len - 1 stay in support. ``seeds`` is the
+    trial's row of :func:`window_seeds` for ``config`` and ``d_pad``: every
+    draw comes from a substream of the trial's seed, independent of d_pad
+    slicing: the channel from ``(seed, STREAM_CHANNEL)``, block n of tx
+    antenna i from ``(seed, STREAM_SIGNAL, i, n)``, and on rx antenna j the
+    pre-pad noise from ``(seed, STREAM_NOISE, j, 0)`` (not derived when
+    d_pad is 0) and the noise under block n from
+    ``(seed, STREAM_NOISE, j, n + 1)``.
 
     The data of all (i, n) blocks go through one gather and one inverse DFT
     into a zeroed (n_tx, n_gen, block_len) array; each noise substream draws
@@ -501,8 +500,6 @@ def draw_stream(
     """
     n_s = config.block_len
     n_gen = config.n_blocks + 1
-    if seeds is None:
-        seeds = window_seeds(config, d_pad, seed)[0]
     rngs = [_seeded(state) for state in seeds]
     normals = rngs[0].standard_normal(config.n_rx * config.n_tx * profile.n_taps * 2)
     n_sig = config.n_tx * n_gen
@@ -598,7 +595,7 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    draws = draw_stream(config, profile, mixture, seed_t, d_pad)
+    draws = draw_stream(config, profile, mixture, d_pad, window_seeds(config, d_pad, seed_t)[0])
     signal, channel = stream_signal(draws, config, profile, channel)
     start = d_pad + d_true
     samples = finish_stream(draws, mixture, signal, start, start + config.window_len)

@@ -297,8 +297,8 @@ def _link(settings: dict) -> tuple:
 
 def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config, profile, mixture = _link(settings)
-    trials = int(settings.get("trials", 100000))
-    check_moment_run(config, settings["ks"], trials)
+    trials = settings.get("trials", 100000)
+    check_moment_run(config, settings["ks"], trials, seed)
     out_dir = _start(args, seed)
     report = run_moment_validation(
         config=config,
@@ -322,8 +322,8 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
 
 def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config, profile, mixture = _link(settings)
-    trials = int(settings.get("trials", 10))
-    check_scaling_run(settings["sizes"], trials)
+    trials = settings.get("trials", 10)
+    check_scaling_run(settings["sizes"], trials, seed)
     out_dir = _start(args, seed)
     report = run_runtime_scaling(
         config=config,

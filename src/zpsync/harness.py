@@ -68,6 +68,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_run(trials: int, master_seed: int) -> None:
+    """Check the trial count and master seed that every run takes (a sweep,
+    a moment validation, a runtime scaling): both ints, the seed
+    non-negative; raises :class:`ConfigError`."""
+    for name, value in (("trials", trials), ("master_seed", master_seed)):
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+    if master_seed < 0:
+        raise ConfigError("master_seed must be non-negative")
+
+
+def _ints(what: str, items) -> list:
+    """``items`` as a list, checked to hold only ints (no bools)."""
+    items = list(items)
+    if not all(map(_is_int, items)):
+        raise ConfigError(f"{what} must be ints, got {items!r}")
+    return items
+
+
 def _reject_repeats(what: str, items) -> None:
     seen = set()
     for item in items:
@@ -130,7 +149,8 @@ class ExperimentSpec:
         object.__setattr__(self, "values", values)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
-        for name in ("trials", "workers", "master_seed", "d_min", "d_max"):
+        _check_run(self.trials, self.master_seed)
+        for name in ("workers", "d_min", "d_max"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if len(self.values) == 0:
@@ -139,8 +159,6 @@ class ExperimentSpec:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
         if not self.estimators or any(e not in ESTIMATOR_IDS for e in self.estimators):
             raise ConfigError(f"estimators must be drawn from {ESTIMATOR_IDS}")
         if any(e in ("wed", "ed") for e in self.estimators) and self.d_min < 0:
@@ -230,6 +248,10 @@ def spec_hash(spec: ExperimentSpec) -> str:
 def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture]:
     """The link configuration and SNR-scaled noise mixture of one sweep point.
 
+    A config axis sets the base config fields its ``_AXES`` row names to the
+    point's value (a pair of ints sets both antenna counts); the mixture is
+    then scaled to the point's SNR. The row's check has validated the value.
+
     The impulsiveness sweep anchors the nominal component to the SNR instead
     of the mixture average, so changing p0 changes only how often impulses
     occur; average-power anchoring would make growing impulsiveness *lower*
@@ -245,13 +267,9 @@ def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture
         target = noise_power(config.signal_power, config.snr_db)
         variances = mixture.variances * (target / float(mixture.variances[0]))
         return config, NoiseMixture(np.array([p0, 1.0 - p0]), variances)
-    if spec.axis == "snr_db":
-        config = dataclasses.replace(config, snr_db=float(value))
-    elif spec.axis == "n_blocks":
-        config = dataclasses.replace(config, n_blocks=int(value))
-    elif spec.axis == "antennas":
-        n_tx, n_rx = value
-        config = dataclasses.replace(config, n_tx=int(n_tx), n_rx=int(n_rx))
+    fields = [name for _, name in _AXES[spec.axis][2]]
+    values = value if len(fields) > 1 else (value,)
+    config = dataclasses.replace(config, **dict(zip(fields, values)))
     return config, scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
 
 
@@ -366,9 +384,7 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[Tr
         # peak let the allocator hand the heap top back to the system
         # and fault it in again on every call
         signals = {}
-        draws = draw_stream(
-            drawn, spec.profile, spec.mixture, (spec.master_seed, t), d_pad, seeds[k]
-        )
+        draws = draw_stream(drawn, spec.profile, spec.mixture, d_pad, seeds[k])
         lo = d_pad + d_true[-1]
         for point in points:
             link = (point.config.n_tx, point.config.n_rx)
@@ -450,6 +466,9 @@ class MomentReport:
         raise KeyError(k)
 
 
+# trials the moment sampler draws at a time: a batch's data blocks, then its
+# taps, then its noise, so the samples depend on it
+_BATCH = 20000
 # data blocks the moment sampler draws and transforms at a time: bounds its
 # working set whatever the batch (larger chunks only cost page faults)
 _DATA_ROWS = 1024
@@ -494,12 +513,16 @@ def _batch_received_samples(
     return out
 
 
-def check_moment_run(config: SystemConfig, sample_indices, trials: int) -> np.ndarray:
+def check_moment_run(
+    config: SystemConfig, sample_indices, trials: int, master_seed: int
+) -> np.ndarray:
     """The block positions of a moment validation run as an int array, after
-    checking them and the trial count; raises :class:`ConfigError`."""
+    checking them, the trial count and the master seed; raises
+    :class:`ConfigError`."""
+    _check_run(trials, master_seed)
     if trials < 2:
         raise ConfigError("moment validation needs at least 2 trials: one sample has no spread")
-    ks = np.asarray(list(sample_indices), dtype=int)
+    ks = np.asarray(_ints("sample indices", sample_indices), dtype=int)
     if ks.size == 0:
         raise ConfigError("need at least one sample index")
     if np.any(ks < 0) or np.any(ks >= config.block_len):
@@ -516,7 +539,6 @@ def run_moment_validation(
     sample_indices,
     trials: int,
     master_seed: int = 0,
-    batch: int = 20000,
 ) -> MomentReport:
     """Empirical moments and histograms of the received in-phase samples at
     selected block positions, against the analytic Gaussian-mixture model.
@@ -525,8 +547,8 @@ def run_moment_validation(
     if the config requests it), one independent block per trial at zero
     offset, drawn with the window generator's own helpers
     (``draw_block_data``, ``draw_channel``, ``draw_noise``) from one
-    generator, ``batch`` trials at a time. ``batch`` fixes the draw order (a
-    batch's data blocks, then its taps, then its noise), so the results
+    generator, ``_BATCH`` trials at a time. ``_BATCH`` fixes the draw order
+    (a batch's data blocks, then its taps, then its noise), so the results
     depend on it; the memory hardly does, since the blocks go through a
     fixed row buffer and only the positions the tap sums read are kept.
     Each trial models one transmit antenna at full ``signal_power``
@@ -534,21 +556,16 @@ def run_moment_validation(
     for any n_tx). Histogram bins follow the Freedman-Diaconis rule and are
     recorded so plots can be rebuilt from the data alone.
     """
-    ks = check_moment_run(config, sample_indices, trials)
-    if batch < 1:
-        raise ConfigError("batch must be >= 1")
+    ks = check_moment_run(config, sample_indices, trials, master_seed)
     scaled = scale_mixture_to_snr(mixture, config.signal_power, snr_db)
     vp = variance_profile_h0(config, profile)
 
     rng = substream(master_seed, 0, 0)
     collected = np.empty((trials, ks.size))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        collected[done : done + b] = _batch_received_samples(
-            config, profile, scaled, ks, b, rng
+    for batch in _chunks(trials, _BATCH):
+        collected[batch.start : batch.stop] = _batch_received_samples(
+            config, profile, scaled, ks, len(batch), rng
         ).real
-        done += b
 
     rows = []
     histograms = {}
@@ -605,12 +622,14 @@ class RuntimeScalingReport:
     loglog_slope: float  # fitted on per-size minima: scheduler noise only adds time
 
 
-def check_scaling_run(multipliers, trials: int) -> list[int]:
-    """The block-length multipliers of a runtime scaling run as ints, after
-    checking them and the trial count; raises :class:`ConfigError`."""
-    multipliers = [int(s) for s in multipliers]
+def check_scaling_run(multipliers, trials: int, master_seed: int) -> list[int]:
+    """The block-length multipliers of a runtime scaling run as a list, after
+    checking them, the trial count and the master seed; raises
+    :class:`ConfigError`."""
+    multipliers = _ints("sizes", multipliers)
     if len(set(multipliers)) < 3 or min(multipliers) < 1:
         raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
+    _check_run(trials, master_seed)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     return multipliers
@@ -632,7 +651,7 @@ def run_runtime_scaling(
     scale); they default to a normalized exponential profile and Gaussian
     noise. The mixture is scaled to ``config.snr_db``. The sizes take turns
     within each trial; each size keeps its own window seeds."""
-    multipliers = check_scaling_run(multipliers, trials)
+    multipliers = check_scaling_run(multipliers, trials, master_seed)
     hyp = HypothesisSet(0, 30)
     if profile is None:
         profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)

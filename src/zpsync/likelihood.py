@@ -233,16 +233,13 @@ def loglik_class_table(
         return _single_component_table(z2, scales, offsets)
     table = scratch(work, "table", (values.size, m))
     acc, term, gap = (scratch(work, name, z2.shape) for name in ("acc", "term", "gap"))
-    # the parts in the order their terms are summed: antenna by antenna, I then Q
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     # per (class, component) constants as Python floats: scalar numpy
     # arithmetic inside the loop would add a fixed cost per call that is a
     # large share of a short window
     for t_row, scale, offset in zip(table, scales.tolist(), offsets.tolist()):
         _fold_components(z2, scale, offset, acc, term, gap)
-        np.add(parts[0], parts[1], out=t_row)
-        for part in parts[2:]:
-            t_row += part
+        _sum_parts(parts, t_row)
     return table
 
 
@@ -292,7 +289,6 @@ def fold_cells(
     :func:`scratch`). ``positions`` must lie in ``[0, m)``."""
     y = np.asarray(np.atleast_2d(y), dtype=np.complex128)
     n_rx = y.shape[0]
-    n_cells = positions.shape[-1]
     # mode="clip" lets take write straight into the buffer: the default
     # "raise" gathers into a copy first
     gather = np.take(y, positions, axis=1, mode="clip",
@@ -305,13 +301,8 @@ def fold_cells(
     # two components that term overwrites it: one buffer fewer
     term = z2 if len(scales) == 2 else scratch(work, "term", z2.shape)
     _fold_components(z2, scales, offsets, acc, term, scratch(work, "gap", z2.shape))
-    # the parts in the order their terms are summed: antenna by antenna, I then Q
-    parts = acc.reshape(acc.shape[:-1] + (n_cells, 2))
-    out = np.add(parts[0, ..., 0], parts[0, ..., 1], out=scratch(work, "cells", positions.shape))
-    for r in range(1, n_rx):
-        out += parts[r, ..., 0]
-        out += parts[r, ..., 1]
-    return out
+    parts = [acc[r, ..., k::2] for r in range(n_rx) for k in (0, 1)]
+    return _sum_parts(parts, scratch(work, "cells", positions.shape))
 
 
 def _component_constants(values: np.ndarray, mixture: NoiseMixture):
@@ -324,13 +315,13 @@ def _component_constants(values: np.ndarray, mixture: NoiseMixture):
     return scales, offsets
 
 
-def _fold_components(z2, scales, offsets, acc, term=None, gap=None) -> None:
+def _fold_components(z2, scales, offsets, acc, term, gap) -> None:
     """``acc = log sum_l exp(scales[l] * z2 + offsets[l])``, in place.
 
     ``scales[l]`` and ``offsets[l]`` are floats or arrays that broadcast
     against ``z2``; ``term`` and ``gap`` are scratch buffers shaped like
-    ``z2``, needed only for more than one component. With two components
-    ``term`` may be ``z2`` itself, which the second term reads last.
+    ``z2``. With two components ``term`` may be ``z2`` itself, which the
+    second term reads last.
     """
     np.multiply(z2, scales[0], out=acc)
     acc += offsets[0]
@@ -344,6 +335,21 @@ def _fold_components(z2, scales, offsets, acc, term=None, gap=None) -> None:
         np.exp(gap, out=gap)
         np.log1p(gap, out=gap)
         acc += gap
+
+
+def _sum_parts(parts: list, out: np.ndarray) -> np.ndarray:
+    """``out = sum(parts)``, in place and in the order given.
+
+    ``parts`` are the views of one sample's I/Q log-density terms, listed
+    antenna by antenna, I then Q. Every table row and every gathered cell
+    is summed through here in that one order, which keeps a cell of
+    :func:`fold_cells` bit-equal to its entry in
+    :func:`loglik_class_table`.
+    """
+    np.add(parts[0], parts[1], out=out)
+    for part in parts[2:]:
+        out += part
+    return out
 
 
 def _single_component_table(
@@ -370,11 +376,6 @@ def _single_component_table(
         block = acc[: hi - lo]
         np.multiply(flat, scales[lo:hi], out=block)
         block += offsets[lo:hi]
-        # the parts in the order their terms are summed: antenna by antenna, I then Q
-        parts = block.reshape(hi - lo, n_rx, width)
-        rows = table[lo:hi]
-        np.add(parts[:, 0, 0::2], parts[:, 0, 1::2], out=rows)
-        for r in range(1, n_rx):
-            rows += parts[:, r, 0::2]
-            rows += parts[:, r, 1::2]
+        antennas = block.reshape(hi - lo, n_rx, width)
+        _sum_parts([antennas[:, r, k::2] for r in range(n_rx) for k in (0, 1)], table[lo:hi])
     return table

@@ -157,11 +157,11 @@ def spec_from_settings(settings: dict, master_seed: int, workers: int = 1) -> Ex
         mixture=mixture_from_settings(settings),
         axis=axis,
         values=values,
-        trials=int(settings.get("trials", 500)),
+        trials=settings.get("trials", 500),
         master_seed=master_seed,
         estimators=tuple(settings.get("estimators", ["aml"])),
-        d_min=int(settings.get("d_min", -30)),
-        d_max=int(settings.get("d_max", 30)),
+        d_min=settings.get("d_min", -30),
+        d_max=settings.get("d_max", 30),
         workers=workers,
     )
 

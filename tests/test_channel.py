@@ -311,7 +311,7 @@ class TestConvolveFrame:
 def build_stream(config, profile, mixture, seed, d_pad):
     """The whole receive stream and channel of a trial, drawn and finished
     in the harness's steps."""
-    draws = draw_stream(config, profile, mixture, seed, d_pad)
+    draws = draw_stream(config, profile, mixture, d_pad, window_seeds(config, d_pad, seed)[0])
     signal, channel = stream_signal(draws, config, profile)
     return finish_stream(draws, mixture, signal, 0, draws.noise.shape[1]), channel
 
@@ -404,7 +404,8 @@ class TestStreamDrawsPrefix:
             n_rx=max(1, config.n_rx - fewer_rx),
             n_blocks=max(1, config.n_blocks - fewer_blocks),
         )
-        draws = draw_stream(config, profile, mixture, seed, d_pad)
+        seeds = window_seeds(config, d_pad, seed)[0]
+        draws = draw_stream(config, profile, mixture, d_pad, seeds)
         signal, channel = stream_signal(draws, link, profile)
         stream = finish_stream(draws, mixture, signal, 0, d_pad + (link.n_blocks + 1) * link.block_len)
         ref_stream, ref_channel = build_stream(link, profile, mixture, seed, d_pad)
@@ -420,7 +421,8 @@ class TestStreamDrawsPrefix:
         link = replace(drawn, n_tx=antennas[0], n_rx=antennas[1], n_blocks=n_blocks)
         mixture = scale_mixture_to_snr(NoiseMixture.impulsive(), 1.0, 5.0)
         for t, d_true in ((0, -30), (1, 0), (2, 531)):
-            draws = draw_stream(drawn, sim_profile, mixture, (2**33, t), 30)
+            seeds = window_seeds(drawn, 30, (2**33, t))[0]
+            draws = draw_stream(drawn, sim_profile, mixture, 30, seeds)
             signal, _ = stream_signal(draws, link, sim_profile)
             lo = 30 + d_true
             window = finish_stream(draws, mixture, signal, lo, lo + link.window_len)
@@ -487,7 +489,7 @@ class TestWindowSeeds:
         seeds = window_seeds(config, d_pad, (9,), [3, 4])
         for t, row in zip([3, 4], seeds):
             derived = assemble_window(config, profile, mixture, 7, (9, t), d_pad)
-            draws = draw_stream(config, profile, mixture, (9, t), d_pad, row)
+            draws = draw_stream(config, profile, mixture, d_pad, row)
             signal, channel = stream_signal(draws, config, profile)
             lo = d_pad + 7
             handed = finish_stream(draws, mixture, signal, lo, lo + config.window_len)

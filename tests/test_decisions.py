@@ -24,3 +24,12 @@ def test_two_runs_print_the_same_digest(capsys):
     for p in points:
         assert [d[0] for d in p["decisions"]] == [0, 1, 2]
         assert set(p["successes"]) == set(p["decisions"][0][2])
+
+
+def test_sweep_presets_decisions_are_pinned(capsys):
+    # every point of all six sweep presets, serially; 70 trials cross the
+    # 64-trial chunk boundary. A refactor that is meant to be
+    # decision-identical must leave this digest as it is
+    assert decisions.main(["--trials", "70", "--seed", "5"]) == 0
+    digest = capsys.readouterr().out.splitlines()[-1]
+    assert digest == "digest 1c4795dd29b4f8a054fb20423d25905754479e66767763af981b0ed8ceacd178"

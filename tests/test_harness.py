@@ -348,24 +348,34 @@ class TestRunSweep:
             np.testing.assert_array_equal(window, ref.samples, err_msg=f"{value!r} trial {t}")
 
     def test_each_trial_is_drawn_once_per_sweep(self, monkeypatch):
-        # the draws are shared by every point, whatever the axis changes
+        # the draws are shared by every point, whatever the axis changes:
+        # one seed row per trial, in trial order, for the sweep's largest link
         real_draw = harness.draw_stream
         drawn = []
 
-        def draw(config, profile, mixture, seed, *args):
-            drawn.append(seed)
-            return real_draw(config, profile, mixture, seed, *args)
+        def draw(config, profile, mixture, d_pad, seeds):
+            drawn.append(seeds)
+            return real_draw(config, profile, mixture, d_pad, seeds)
 
         monkeypatch.setattr(harness, "draw_stream", draw)
         specs = (
-            small_spec(trials=5, values=(6.0, 12.0, 40.0)),
-            small_spec(trials=5, axis="antennas", values=((1, 1), (1, 2), (2, 2))),
-            small_spec(trials=5, axis="n_blocks", values=(1, 3)),
+            (small_spec(trials=5, values=(6.0, 12.0, 40.0)), {}),
+            (
+                small_spec(trials=5, axis="antennas", values=((1, 1), (1, 2), (2, 2))),
+                {"n_tx": 2, "n_rx": 2},
+            ),
+            (small_spec(trials=5, axis="n_blocks", values=(1, 3)), {"n_blocks": 3}),
         )
-        for spec in specs:
+        for spec, largest in specs:
             drawn.clear()
             run_sweep(spec)
-            assert drawn == [(spec.master_seed, t) for t in range(spec.trials)], spec.axis
+            link = dataclasses.replace(spec.config, **largest)
+            rows = harness.window_seeds(
+                link, -spec.d_min, (spec.master_seed,), range(spec.trials)
+            )
+            assert len(drawn) == spec.trials, spec.axis
+            for got, row in zip(drawn, rows):
+                np.testing.assert_array_equal(got, row, err_msg=spec.axis)
 
     def test_sweep_leaves_no_reference_cycles(self):
         # what a sweep point holds (its plans, its prefix buffer) must be
@@ -637,18 +647,6 @@ class TestMomentValidation:
         with pytest.raises(ConfigError, match="zero variance"):
             run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=10)
 
-    @pytest.mark.parametrize("batch", [0, -2])
-    def test_empty_batch_rejected(self, batch, monkeypatch):
-        # a batch of 0 used to loop forever; fail instead of hanging if it regresses
-        def sampler(*args):
-            raise AssertionError("sampler reached with an empty batch")
-
-        monkeypatch.setattr(harness, "_batch_received_samples", sampler)
-        with pytest.raises(ConfigError, match="batch"):
-            run_moment_validation(
-                SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, [5], trials=10, batch=batch
-            )
-
     def test_index_bounds_checked(self):
         with pytest.raises(ConfigError):
             run_moment_validation(
@@ -769,12 +767,13 @@ class TestMomentSamplerBitExact:
 
 def assert_equals_reference_sampler(case):
     config, profile, mixture, ks, trials, seed, batch = case
-    args = (config, profile, mixture, 12.0, ks, trials, seed, batch)
-    report = run_moment_validation(*args)
-    with mock.patch.object(
-        harness, "_batch_received_samples", reference_batch_received_samples
-    ):
-        ref = run_moment_validation(*args)
+    args = (config, profile, mixture, 12.0, ks, trials, seed)
+    with mock.patch.object(harness, "_BATCH", batch):
+        report = run_moment_validation(*args)
+        with mock.patch.object(
+            harness, "_batch_received_samples", reference_batch_received_samples
+        ):
+            ref = run_moment_validation(*args)
     assert report.rows == ref.rows
     assert report.trials == ref.trials
     assert report.histograms.keys() == ref.histograms.keys()
@@ -782,6 +781,38 @@ def assert_equals_reference_sampler(case):
         assert report.histograms[k].keys() == hist.keys()
         for name, values in hist.items():
             np.testing.assert_array_equal(report.histograms[k][name], values)
+
+
+def _moments(**changes):
+    args = dict(sample_indices=[5], trials=10, master_seed=0) | changes
+    return run_moment_validation(SMALL, SMALL_PROFILE, IMPULSIVE, 10.0, **args)
+
+
+def _scaling(**changes):
+    args = dict(multipliers=[1, 2, 3], trials=2, master_seed=0) | changes
+    return run_runtime_scaling(SMALL, **args)
+
+
+@pytest.mark.parametrize(
+    "run, changes, message",
+    [
+        (_moments, {"trials": 10.5}, "trials must be an int"),
+        (_moments, {"master_seed": 2.5}, "master_seed must be an int"),
+        (_moments, {"master_seed": -1}, "master_seed must be non-negative"),
+        (_moments, {"sample_indices": [5.7]}, "sample indices must be ints"),
+        (_moments, {"sample_indices": [True]}, "sample indices must be ints"),
+        (_scaling, {"trials": 2.5}, "trials must be an int"),
+        (_scaling, {"master_seed": 2.5}, "master_seed must be an int"),
+        (_scaling, {"master_seed": -1}, "master_seed must be non-negative"),
+        (_scaling, {"multipliers": [1, 2.5, 4]}, "sizes must be ints"),
+        (_scaling, {"multipliers": ["1", "2", "3"]}, "sizes must be ints"),
+    ],
+)
+def test_moment_and_scaling_inputs_checked(run, changes, message):
+    # each of these once died inside numpy with a TypeError or ValueError,
+    # or ran silently on truncated values (k=5 for 5.7, k=1 for True)
+    with pytest.raises(ConfigError, match=message):
+        run(**changes)
 
 
 class TestPdpSensitivity:

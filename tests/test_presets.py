@@ -15,7 +15,7 @@ from zpsync.presets import (
     profile_from_settings,
     spec_from_settings,
 )
-from zpsync.waveform import SystemConfig
+from zpsync.waveform import ConfigError, SystemConfig
 
 
 class TestParseFlatConfig:
@@ -118,6 +118,14 @@ def test_preset_config_hash_is_pinned(name):
     if name == "fig7":
         settings = dict(settings, axis="pdp_alpha", values=settings["alphas"])
     assert spec_hash(spec_from_settings(settings, master_seed=7)) == _PRESET_HASHES[name]
+
+
+@pytest.mark.parametrize("key, value", [("trials", 10.5), ("d_min", -0.5), ("d_max", 30.9)])
+def test_spec_counts_are_not_truncated(key, value):
+    # int() once turned trials=10.5 into 10 before the spec could see it
+    settings = dict(load_preset("fig2"), **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be an int"):
+        spec_from_settings(settings, master_seed=0)
 
 
 def test_table1_link_is_pinned():
