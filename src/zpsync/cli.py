@@ -7,7 +7,11 @@ whose settings pass their checks creates an output directory; a rejected
 run creates none. This module writes every file in it, from the reports
 that :mod:`zpsync.harness` returns:
 
-- ``manifest.json``, before any computation: command, seed, version;
+- ``manifest.json``: command, seed, version and the Python and numpy
+  versions, core count and platform, with ``status: running`` before any
+  computation. On exit it is rewritten with the end time and elapsed
+  seconds, as ``ok``, or as ``failed`` with the error and the exit code;
+  an interrupt counts as failed;
 - ``sweep.csv`` and ``spec.json`` (simulate, sensitivity): lock-in per point
   and estimator, and the full resolved experiment with its ``config_hash``,
   so a sweep is reproducible from its directory alone;
@@ -21,13 +25,21 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
 import json
+import os
+import platform
 import secrets
+import signal
 import sys
+import time
+import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .channel import scale_mixture_to_snr
@@ -251,10 +263,20 @@ def _write_scaling(report, out_dir: Path) -> None:
     )
 
 
-def _start(args: argparse.Namespace, seed: int) -> Path:
-    """Create the output directory and write its manifest. Each command calls
-    this once its settings have passed every check, so a rejected run leaves
-    no directory behind."""
+def _exit_code(exc: BaseException) -> int:
+    """The exit code of a run that ``exc`` ends: a configuration error exits
+    2, an interrupt 130 (as a process that SIGINT ends), anything else 1."""
+    if isinstance(exc, (ConfigError, ConfigFileError)):
+        return EXIT_CONFIG
+    return 128 + signal.SIGINT if isinstance(exc, KeyboardInterrupt) else EXIT_RUNTIME
+
+
+@contextlib.contextmanager
+def _run_dir(args: argparse.Namespace, seed: int):
+    """Create the output directory and write its manifest as running, then
+    rewrite the manifest with the run's status when the ``with`` block
+    ends. Each command enters this once its settings have passed every
+    check, so a rejected run leaves no directory behind."""
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -265,16 +287,32 @@ def _start(args: argparse.Namespace, seed: int) -> Path:
         "master_seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cores": os.cpu_count(),
+        "platform": platform.platform(),
+        "status": "running",
     }
     _write_json(out_dir / "manifest.json", manifest)
-    return out_dir
+    start = time.perf_counter()
+    try:
+        yield out_dir
+        manifest.update(status="ok", exit_code=EXIT_OK)
+    except BaseException as exc:
+        error = traceback.format_exception_only(exc)[-1].strip()
+        manifest.update(status="failed", error=error, exit_code=_exit_code(exc))
+        raise
+    finally:
+        end = datetime.datetime.now(datetime.timezone.utc)
+        manifest.update(end_time=end.isoformat(), elapsed_s=round(time.perf_counter() - start, 3))
+        _write_json(out_dir / "manifest.json", manifest)
 
 
 def _cmd_simulate(args: argparse.Namespace, settings: dict, seed: int) -> int:
     spec = spec_from_settings(settings, master_seed=seed, workers=args.workers)
-    out_dir = _start(args, seed)
-    report = run_sweep(spec)
-    _write_sweep(report, out_dir)
+    with _run_dir(args, seed) as out_dir:
+        report = run_sweep(spec)
+        _write_sweep(report, out_dir)
     print(f"config_hash={spec_hash(spec)} seed={seed}")
     print(f"{'value':>12} {'estimator':>9} {'lock_in':>8} {'ci_lo':>7} {'ci_hi':>7}")
     for row in report.rows:
@@ -299,17 +337,17 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
     config, profile, mixture = _link(settings)
     trials = settings.get("trials", 100000)
     check_moment_run(config, settings["ks"], trials, seed)
-    out_dir = _start(args, seed)
-    report = run_moment_validation(
-        config=config,
-        profile=profile,
-        mixture=mixture,
-        snr_db=config.snr_db,
-        sample_indices=settings["ks"],
-        trials=trials,
-        master_seed=seed,
-    )
-    _write_moments(report, out_dir)
+    with _run_dir(args, seed) as out_dir:
+        report = run_moment_validation(
+            config=config,
+            profile=profile,
+            mixture=mixture,
+            snr_db=config.snr_db,
+            sample_indices=settings["ks"],
+            trials=trials,
+            master_seed=seed,
+        )
+        _write_moments(report, out_dir)
     print(f"{'k':>5} {'variance':>10} {'analytic':>10} {'skewness':>9} {'kurtosis':>9}")
     for row in report.rows:
         print(
@@ -324,16 +362,16 @@ def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config, profile, mixture = _link(settings)
     trials = settings.get("trials", 10)
     check_scaling_run(settings["sizes"], trials, seed)
-    out_dir = _start(args, seed)
-    report = run_runtime_scaling(
-        config=config,
-        multipliers=settings["sizes"],
-        trials=trials,
-        master_seed=seed,
-        profile=profile,
-        mixture=mixture,
-    )
-    _write_scaling(report, out_dir)
+    with _run_dir(args, seed) as out_dir:
+        report = run_runtime_scaling(
+            config=config,
+            multipliers=settings["sizes"],
+            trials=trials,
+            master_seed=seed,
+            profile=profile,
+            mixture=mixture,
+        )
+        _write_scaling(report, out_dir)
     for row in report.rows:
         print(
             f"window_len={row.window_len:<8} aml={row.aml_mean_ns / 1e6:8.3f} ms"
@@ -361,12 +399,9 @@ def main(argv=None) -> int:
         settings = _resolve_settings(args)
         seed = args.seed if args.seed is not None else secrets.randbits(32)
         return _COMMANDS[args.command](args, settings, seed)
-    except (ConfigError, ConfigFileError) as exc:
+    except (ConfigError, ConfigFileError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ parallelized without changing the result.
 Every score is a sum of per-sample terms over segments of the capture. The
 hypothesized variance profile is piecewise constant and periodic, so each
 estimator scores a hypothesis from prefix sums at the edges of its
-constant-class runs. The prefix sums are added up over the stream's periods
-once per call, after which each hypothesis costs O(runs per block) lookups.
-A-ML and WED read the runs of the variance profile and fold every period
-that some hypothesis reads in the window. ED reads one run per period, the
-zero tail taken from the config, and folds exactly n_blocks periods: it
-leaves out block n_blocks even when the window reaches into it. A prefix sum
+constant-class runs. One fold (:func:`_fold`) serves all three: it reads the
+terms laid out period by period, adds them up over the stream's periods
+first and then takes cumulative sums over three periods' worth, not over the
+window; each hypothesis then costs O(runs per block) lookups. A-ML and WED
+read the runs of the variance profile and fold every period that some
+hypothesis reads in the window. ED reads one run per period, the zero tail
+taken from the config, and folds exactly n_blocks periods: it leaves out
+block n_blocks even when the window reaches into it. A cumulative sum
 carries one non-finite sample into every later segment, so non-finite input
 is rejected up front.
 
@@ -21,24 +23,23 @@ A-ML splits the profile's variance classes by how many window cells their
 runs can reach. Under n_d hypotheses a run of L samples reaches
 L + n_d - 1 positions per period. A class that reaches at least a window's
 worth (a long plateau, or every class once n_d nears the block length) is
-dense: it gets a row of the per-sample likelihood table, whose prefix sums
-are folded over the periods. Under mixture noise every other class is
-sparse: its log densities are evaluated on the reachable cells alone and
-each hypothesis takes a sliding sum over them. At the paper's sizes this
-leaves one dense row of twenty. Single-component noise keeps every class
-dense.
+dense: it gets a row of the per-sample likelihood table, which is folded
+over the periods. Under mixture noise every other class is sparse: its log
+densities are evaluated on the reachable cells alone and each hypothesis
+takes a sliding sum over them. At the paper's sizes this leaves one dense
+row of twenty. Single-component noise keeps every class dense.
 
 What an estimator reads besides the window depends only on the sweep point,
 so it is built once into a frozen plan (:func:`aml_plan`, :func:`wed_plan`,
 :func:`ed_plan`): the run offsets and weights, and A-ML's class split with
 its gather layout. The public ``*_estimate`` calls build a plan per call; the
 harness builds one per point and chunk of trials. WED and ED plans also
-score a group of windows' energy prefixes at once (:func:`energy_scores`),
-bit-identical to scoring each window on its own.
+score a group of windows' per-sample energies at once
+(:func:`energy_scores`), bit-identical to scoring each window on its own.
 
-A-ML's per-window buffers (the padded window, its squares, the mixture
-table and its accumulators, the sparse cells' gather and fold) are
-scratch: given a workspace, ``AmlPlan.scores`` takes them from it (see
+A-ML's per-window buffers (the table laid out by period, the squares, the
+mixture accumulators, the sparse cells' gather and fold) are scratch:
+given a workspace, ``AmlPlan.scores`` takes them from it (see
 :func:`~zpsync.likelihood.scratch`). The harness keeps one workspace per
 serial sweep, shared by every point and chunk, so the buffers grow to the
 largest point's once and are reused every window; buffers freed after each
@@ -99,24 +100,26 @@ class EstimateResult:
 
 def check_finite(samples: np.ndarray) -> None:
     """Refuse a window that holds a non-finite sample."""
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise ConfigError("window holds non-finite samples")
 
 
-def energy_prefix(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Prefix sums of the sample energy summed over the receive antennas:
-    entry ``k`` is the energy of the first ``k`` window samples. ``out``,
-    of ``m + 1`` entries, takes them in place of a new array."""
-    if out is None:
-        out = np.empty(samples.shape[-1] + 1)
-    out[0] = 0.0
-    np.cumsum((np.abs(samples) ** 2).sum(axis=0), out=out[1:])
+def energy_terms(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The window's per-sample energies summed over the receive antennas,
+    laid out period by period in the C-contiguous ``out``
+    (n_periods + 1, n_s) as :func:`_fold` reads them: zero past the
+    window's end, and a window longer than ``out`` cut there, since no fold
+    reads further."""
+    flat = out.reshape(-1)
+    n = min(samples.shape[-1], flat.size)
+    np.sum(np.abs(samples[:, :n]) ** 2, axis=0, out=flat[:n])
+    flat[n:] = 0.0
     return out
 
 
 def _run_offsets(edges: np.ndarray, n_s: int, hyp: HypothesisSet) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the ``_fold_periods`` output that bound each run of one
-    period under each hypothesis.
+    """Columns of the ``_fold`` output that bound each run of one period
+    under each hypothesis.
 
     ``edges`` are the ascending run edges within a period of ``n_s``
     samples, run ``j`` spanning ``[edges[j], edges[j + 1])``. Returns
@@ -133,49 +136,59 @@ def _period_count(m: int, n_s: int, d_max: int) -> int:
     return max(1, -(-(d_max + m) // n_s))
 
 
-def _fold_periods(prefix: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
-    """Window prefix sums added up over the first ``n_periods`` periods of
-    the stream.
+def _fold(terms: np.ndarray, n_periods: int) -> np.ndarray:
+    """Prefix sums of per-sample terms added up over the first
+    ``n_periods`` periods of the stream.
 
-    ``prefix[..., k]`` is the sum of the first ``k`` window samples and the
-    stream has period ``n_s`` from index 0 on. Returns ``out`` with
+    ``terms[..., p, j]`` is the term of window sample ``p * n_s + j``, zero
+    past the window's end, for periods ``p <= n_periods``; later periods are
+    not read. With ``S(k)`` the sum of the terms of the first ``k`` window
+    samples (0 for ``k <= 0``), returns ``out`` (..., 3 * n_s) with
     ``out[..., x + n_s]`` the sum over periods ``p < n_periods`` of
-    ``prefix[..., clip(p * n_s + x, 0, m)]`` for every ``x`` in
-    ``[-n_s, 2 * n_s)``. A run from ``b`` to ``e`` then adds
-    ``out[e - d + n_s] - out[b - d + n_s]`` to hypothesis ``d``: its segments
-    in those periods at once, clipped to the window. The caller picks the
-    count: ``_period_count`` for every period some hypothesis reads, or
-    fewer to leave the later periods out.
+    ``S(p * n_s + x)`` for every ``x`` in ``[-n_s, 2 * n_s)``. A run from
+    ``b`` to ``e`` then adds ``out[e - d + n_s] - out[b - d + n_s]`` to
+    hypothesis ``d``: its segments in those periods at once, clipped to the
+    window. The caller picks the count: ``_period_count`` for every period
+    some hypothesis reads, or fewer to leave the later periods out.
+
+    The terms are added up over the periods first, so the only cumulative
+    sums run over three periods' worth, not the window: at ``x - n_s`` the
+    sum loses its last period and gains the one before index 0, where every
+    term is 0; at ``x + n_s`` it loses its first period and gains the one
+    after its last. Each of these three rows starts from a constant, the sum
+    of ``S(p * n_s)`` over its periods, which the period totals give, so a
+    row's cumulative sum adds up only its own terms. Every sum runs along
+    one row of ``terms``, so a row of a group folds bit for bit as it folds
+    alone.
     """
-    m = prefix.shape[-1] - 1
-    r = np.arange(n_s)
-    buf = np.empty(prefix.shape[:-1] + (n_s,))
-
-    def period(p):
-        # mode="clip" maps indices past the window end to prefix[..., m]
-        return np.take(prefix, p * n_s + r, axis=-1, out=buf, mode="clip")
-
-    full = min((m + 1) // n_s, n_periods)  # periods that lie inside the window
-    folded = prefix[..., : full * n_s].reshape(prefix.shape[:-1] + (full, n_s)).sum(axis=-2)
-    for p in range(full, n_periods):
-        folded += period(p)
-    out = np.empty(prefix.shape[:-1] + (3, n_s))
-    # at x - n_s the sum loses its last period and gains the one before
-    # index 0, where prefix is 0; at x + n_s it loses its first period and
-    # gains the one after its last
-    np.subtract(folded, period(n_periods - 1), out=out[..., 0, :])
-    out[..., 1, :] = folded
-    np.subtract(folded, period(0), out=out[..., 2, :])
-    out[..., 2, :] += period(n_periods)
-    return out.reshape(prefix.shape[:-1] + (3 * n_s,))
+    n_s = terms.shape[-1]
+    lead = terms.shape[:-2]
+    # ufunc methods, not np.sum and np.cumsum, whose wrappers add a fixed
+    # cost per call that short windows feel (C10 times the public call)
+    # whole[..., i] = sum of S(p * n_s) over p < i, from two cumulative sums
+    # of the period totals behind two leading zeros
+    whole = np.zeros(lead + (n_periods + 2,))
+    np.add.reduce(terms[..., :n_periods, :], axis=-1, out=whole[..., 2:])
+    np.add.accumulate(whole, axis=-1, out=whole)
+    np.add.accumulate(whole, axis=-1, out=whole)
+    out = np.empty(lead + (3, n_s))
+    # column 0 of each row holds its constant, column j + 1 its term at j
+    out[..., 0] = whole[..., -3:]
+    low, mid, high = out[..., 0, 1:], out[..., 1, 1:], out[..., 2, 1:]
+    np.add.reduce(terms[..., : n_periods - 1, :-1], axis=-2, out=low)
+    np.add(low, terms[..., n_periods - 1, :-1], out=mid)
+    np.subtract(mid, terms[..., 0, :-1], out=high)
+    high += terms[..., n_periods, :-1]
+    np.add.accumulate(out, axis=-1, out=out)
+    return out.reshape(lead + (3 * n_s,))
 
 
 def _best(scores: np.ndarray, hyp: HypothesisSet, maximize: bool, tag: str) -> np.ndarray:
     """The offset with the best score along the last axis of ``scores``."""
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ConfigError(f"{tag} scores are not finite: sample magnitudes overflow")
     # argmax/argmin return the first optimum, i.e. the smallest d
-    return hyp.d_min + (np.argmax(scores, axis=-1) if maximize else np.argmin(scores, axis=-1))
+    return hyp.d_min + (scores.argmax(axis=-1) if maximize else scores.argmin(axis=-1))
 
 
 def _estimate(plan, scores: np.ndarray) -> EstimateResult:
@@ -197,11 +210,12 @@ class AmlPlan:
         workspace ``work`` when one is given (see
         :func:`~zpsync.likelihood.scratch`), else they are allocated per
         call; the scores are a new array either way."""
-        scores = np.zeros(self.hyp.size)
         # one part at a time: the parts share the workspace's buffers, or
         # without one, each part's buffers are freed before the next
         # allocates its own
-        for part in self.parts:
+        first, *rest = self.parts
+        scores = first(samples, work)
+        for part in rest:
             scores += part(samples, work)
         return scores
 
@@ -268,34 +282,31 @@ def _dense_rows(
     n_periods: int,
     m: int,
 ):
-    """Scorer of the runs of the ``dense`` classes, from per-class prefix
-    sums of the likelihood table folded over the periods."""
+    """Scorer of the runs of the ``dense`` classes, from their rows of the
+    likelihood table folded over the periods."""
     classes = np.flatnonzero(dense)
+    n_s = vp.block_len
     runs = dense[vp.run_class]
     # each dense run's bounds per hypothesis, as indices into the flattened
-    # fold, whose row i holds class classes[i]
-    row_start = (np.cumsum(dense) - 1)[vp.run_class[runs]] * (3 * vp.block_len)
-    lo, hi = _run_offsets(vp.run_edges, vp.block_len, hyp)
-    lo, hi = row_start + lo[:, runs], row_start + hi[:, runs]
+    # fold, whose row i holds class classes[i]: row i's columns start at
+    # 3 * i * n_s, and its column x + n_s is x
+    start = (dense.cumsum()[vp.run_class[runs]] * 3 - 2) * n_s - hyp.values[:, None]
+    lo, hi = start + vp.run_edges[:-1][runs], start + vp.run_edges[1:][runs]
     # stream indices below 0 are class 0: the first -d samples when d < 0
-    below = np.clip(-hyp.values, 0, m) if hyp.d_min < 0 and dense[0] else None
+    below = np.maximum(-hyp.values, 0) if hyp.d_min < 0 and dense[0] else None
 
     def scores(samples: np.ndarray, work: dict | None) -> np.ndarray:
-        # prefix[:, k] is the log-likelihood of the first k samples per dense
-        # class. A dummy leading sample with its column zeroed lets the
-        # cumulative sum run in place: a second table-sized array per call
-        # makes long windows pay page faults, which bends the linear runtime
-        # scaling (C10).
-        padded = scratch(work, "window", (samples.shape[0], samples.shape[1] + 1), np.complex128)
-        padded[:, 0] = 0.0
-        padded[:, 1:] = samples
-        prefix = loglik_class_table(padded, vp, mixture, classes, work=work)
-        prefix[:, 0] = 0.0
-        np.cumsum(prefix, axis=1, out=prefix)
-        folded = _fold_periods(prefix, vp.block_len, n_periods).ravel()
+        # the table lands period by period in a buffer of n_periods + 1
+        # whole periods, zero past the window, which the fold reads as it is
+        terms = scratch(work, "terms", (classes.size, n_periods + 1, n_s))
+        flat = terms.reshape(classes.size, -1)
+        loglik_class_table(samples, vp, mixture, classes, work=work, table=flat[:, :m])
+        flat[:, m:] = 0.0
+        folded = _fold(terms, n_periods).ravel()
         total = (folded[hi] - folded[lo]).sum(axis=1)
         if below is not None:
-            total += prefix[0, below]
+            # below 0 reads class 0's first -d samples; -d < n_s
+            total += np.concatenate([[0.0], np.cumsum(terms[0, 0])])[below]
         return total
 
     return scores
@@ -354,11 +365,11 @@ def _sparse_cells(
 
 @dataclass(frozen=True, eq=False)
 class EnergyPlan:
-    """What WED or ED reads besides a window's energy prefix at one sweep
-    point: the fold's period count, the fold columns ``lo`` and ``hi`` that
-    bound each run per hypothesis, and each run's weight. Every method takes
-    prefixes with any leading shape: one window, or a group of them, one per
-    row."""
+    """What WED or ED reads besides a window's per-sample energies at one
+    sweep point: the fold's period count, the fold columns ``lo`` and ``hi``
+    that bound each run per hypothesis, and each run's weight. Every method
+    takes energies laid out as :func:`energy_terms` lays them out, with any
+    leading shape: one window, or a group of them, one per row."""
 
     tag: str
     hyp: HypothesisSet
@@ -368,8 +379,9 @@ class EnergyPlan:
     hi: np.ndarray
     weights: np.ndarray
 
-    def fold(self, prefix: np.ndarray) -> np.ndarray:
-        return _fold_periods(prefix, self.n_s, self.n_periods)
+    def terms(self, samples: np.ndarray) -> np.ndarray:
+        """One window's energies, in a new array of the periods this plan folds."""
+        return energy_terms(samples, np.empty((self.n_periods + 1, self.n_s)))
 
     def gather(self, folded: np.ndarray) -> np.ndarray:
         # over a group of rows the gathers come out with the row axis
@@ -377,21 +389,22 @@ class EnergyPlan:
         # order than over one window's, so copy to C order first
         return np.subtract(folded[..., self.hi], folded[..., self.lo], order="C") @ self.weights
 
-    def scores(self, prefix: np.ndarray) -> np.ndarray:
-        return self.gather(self.fold(prefix))
+    def scores(self, terms: np.ndarray) -> np.ndarray:
+        return self.gather(_fold(terms, self.n_periods))
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return _best(scores, self.hyp, maximize=False, tag=self.tag)
 
 
-def energy_scores(plans, prefix: np.ndarray) -> np.ndarray:
-    """Scores of a group of windows, row ``k`` from energy prefix
-    ``prefix[k]`` under ``plans[k]``, equal to each window's own
+def energy_scores(plans, terms: np.ndarray) -> np.ndarray:
+    """Scores of a group of windows, row ``k`` from the energies
+    ``terms[k]`` under ``plans[k]``, equal to each window's own
     ``plans[k].scores``. The plans differ only in their runs and weights
     (one sweep point, per-trial profiles), so the group shares one fold and,
-    when all rows share a plan, one gather."""
+    when all rows share a plan, one gather. ``terms`` may hold more periods
+    than the plans fold."""
     plan = plans[0]
-    folded = plan.fold(prefix)
+    folded = _fold(terms, plan.n_periods)
     if all(p is plan for p in plans):
         return plan.gather(folded)
     return np.stack([p.gather(row) for p, row in zip(plans, folded)])
@@ -425,7 +438,7 @@ def wed_estimate(
     """
     plan = wed_plan(vp, noise_var, hyp, window.length)
     check_finite(window.samples)
-    return _estimate(plan, plan.scores(energy_prefix(window.samples)))
+    return _estimate(plan, plan.scores(plan.terms(window.samples)))
 
 
 def ed_plan(cfg: SystemConfig, hyp: HypothesisSet, m: int) -> EnergyPlan:
@@ -455,4 +468,4 @@ def ed_estimate(
     """
     plan = ed_plan(window.config, hyp, window.length)
     check_finite(window.samples)
-    return _estimate(plan, plan.scores(energy_prefix(window.samples)))
+    return _estimate(plan, plan.scores(plan.terms(window.samples)))

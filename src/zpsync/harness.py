@@ -52,7 +52,7 @@ from .estimators import (
     check_finite,
     ed_estimate,
     ed_plan,
-    energy_prefix,
+    energy_terms,
     energy_scores,
     wed_plan,
 )
@@ -189,8 +189,9 @@ class TrialOutcome:
     ``elapsed_ns`` is shared by every trial of a chunk of at most
     ``_SEED_GROUP`` trials: it holds the chunk's mean time per estimator,
     since WED and ED score the whole chunk at once. WED and ED split the
-    energy prefix they share evenly. The mean over a point's trials is its
-    total over its trial count, up to integer rounding.
+    time of the per-sample energies they share evenly. The mean over a
+    point's trials is its total over its trial count, up to integer
+    rounding.
     """
 
     trial_index: int
@@ -281,7 +282,7 @@ _SEED_GROUP = 64
 
 class _PointTrials:
     """One sweep point's share of a chunk of trials: its link, its scoring
-    plans and the chunk's A-ML estimates and energy prefixes so far."""
+    plans and the chunk's A-ML estimates and per-sample energies so far."""
 
     def __init__(
         self, spec: ExperimentSpec, p: int, hyp: HypothesisSet, n_trials: int, work: dict
@@ -299,7 +300,9 @@ class _PointTrials:
         vp = variance_profile_h0(config, spec.profile)
         self.plans = {est: self.build[est](vp) for est in spec.estimators}
         self.energy = [est for est in spec.estimators if est != "aml"]
-        self.prefix = scratch(work, f"prefix{p}", (n_trials, m + 1))
+        # every period some energy plan folds; ED folds fewer than WED
+        n_periods = max((self.plans[est].n_periods for est in self.energy), default=0)
+        self.energies = scratch(work, f"energy{p}", (n_trials, n_periods + 1, config.block_len))
         self.elapsed = dict.fromkeys(spec.estimators, 0)
         self.d_hat = {est: [] for est in spec.estimators}
         self.trial_plans = []
@@ -325,7 +328,7 @@ class _PointTrials:
             self.elapsed["aml"] += time.perf_counter_ns() - t0
         if self.energy:
             t0 = time.perf_counter_ns()
-            energy_prefix(samples, out=self.prefix[k])
+            energy_terms(samples, self.energies[k])
             shared_ns = (time.perf_counter_ns() - t0) // len(self.energy)
             for est in self.energy:
                 self.elapsed[est] += shared_ns
@@ -335,7 +338,7 @@ class _PointTrials:
         for est in self.energy:
             t0 = time.perf_counter_ns()
             est_plans = [p[est] for p in self.trial_plans]
-            self.d_hat[est] = est_plans[0].decide(energy_scores(est_plans, self.prefix))
+            self.d_hat[est] = est_plans[0].decide(energy_scores(est_plans, self.energies))
             self.elapsed[est] += time.perf_counter_ns() - t0
         # one mapping per chunk: each trial carries the chunk's mean times
         mean_ns = {est: round(ns / len(trials)) for est, ns in self.elapsed.items()}
@@ -362,7 +365,7 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[Tr
     point. A-ML scores each window as it is built, every point into the
     workspace: its buffers grow to the largest point's and are then reused,
     where fresh ones would be faulted in again on every window. WED and ED
-    keep only each window's energy prefix, in one workspace buffer per
+    keep only each window's per-sample energies, in one workspace buffer per
     point, and score the whole chunk at its end. A serial sweep hands every
     chunk the same workspace, so no chunk after the first faults them in.
     """

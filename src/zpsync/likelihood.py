@@ -191,6 +191,7 @@ def loglik_class_table(
     mixture: NoiseMixture,
     classes: np.ndarray | None = None,
     work: dict | None = None,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample log densities against distinct profile variances.
 
@@ -198,19 +199,21 @@ def loglik_class_table(
     over antennas. ``classes`` selects a subset of class ids, in the order
     given, and row i is then class ``classes[i]``; by default every class of
     ``vp`` gets a row. The A-ML estimator scores every hypothesis from
-    per-class prefix sums of this table over the profile's long
-    constant-class runs, so the transcendentals are paid once per window,
-    not once per hypothesis; classes whose runs reach few cells go through
-    :func:`fold_cells` instead.
+    this table's rows added up over the stream's periods along the
+    profile's long constant-class runs, so the transcendentals are paid
+    once per window, not once per hypothesis; classes whose runs reach few
+    cells go through :func:`fold_cells` instead.
 
     Works with in-place ufuncs on small scratch buffers: the only large
     allocation is the table itself, which keeps long-window timing free of
-    allocator noise. Given a workspace ``work`` (see :func:`scratch`), the
-    squares and, under mixture noise, the table and its buffers come from
-    it; the table is then valid until the workspace's next use. Mixtures go
-    class by class on window-sized buffers; single-component noise groups
-    classes on short windows (see :func:`_single_component_table`). A row's
-    cells do not depend on which other classes are selected.
+    allocator noise. ``table``, an (n_classes, m) array or view, takes the
+    rows in place of a new table. Given a workspace ``work`` (see
+    :func:`scratch`), the squares, the mixture accumulators and, without
+    ``table``, the table come from it; they are then valid until the
+    workspace's next use. Mixtures go class by class on window-sized
+    buffers; single-component noise groups classes on short windows (see
+    :func:`_single_component_table`). A row's cells do not depend on which
+    other classes are selected.
 
     Mixture components are folded in with the max-shifted log-sum-exp
     ``max(a, b) + log1p(exp(-|a - b|))``, the formula ``np.logaddexp``
@@ -226,12 +229,10 @@ def loglik_class_table(
     # I and Q interleaved: one ufunc call covers both parts of every antenna
     z2 = np.square(y.view(np.float64), out=scratch(work, "z2", (n_rx, 2 * m)))
     scales, offsets = _component_constants(values, mixture)
+    if table is None:
+        table = scratch(work, "table", (values.size, m))
     if mixture.n_components == 1:
-        # fresh rows: the allocator reuses their freed pages unfaulted, while
-        # holding them and their group scratch in the workspace made a
-        # full_range sweep call fault 1362 against 716 pages
-        return _single_component_table(z2, scales, offsets)
-    table = scratch(work, "table", (values.size, m))
+        return _single_component_table(z2, scales, offsets, table)
     acc, term, gap = (scratch(work, name, z2.shape) for name in ("acc", "term", "gap"))
     parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     # per (class, component) constants as Python floats: scalar numpy
@@ -353,9 +354,10 @@ def _sum_parts(parts: list, out: np.ndarray) -> np.ndarray:
 
 
 def _single_component_table(
-    z2: np.ndarray, scales: np.ndarray, offsets: np.ndarray
+    z2: np.ndarray, scales: np.ndarray, offsets: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
-    """Table rows for single-component noise, a few classes per ufunc call.
+    """Table rows for single-component noise, a few classes per ufunc call,
+    written into ``table`` (n_classes, m).
 
     ``z2`` holds the squared I/Q parts, (n_rx, 2 * m) interleaved; ``scales``
     and ``offsets`` are (n_classes, 1) columns. Each row costs three cheap
@@ -369,8 +371,9 @@ def _single_component_table(
     n_classes = scales.shape[0]
     flat = z2.reshape(1, -1)
     group = max(1, min(n_classes, _GROUP_ELEMENTS // flat.size))
+    # fresh group scratch: holding it in the workspace as well made a
+    # full_range sweep call fault about 1390 pages against 1270
     acc = np.empty((group, flat.size))
-    table = np.empty((n_classes, width // 2))
     for lo in range(0, n_classes, group):
         hi = min(lo + group, n_classes)
         block = acc[: hi - lo]

@@ -739,3 +739,52 @@ def test_trials_help_names_what_each_command_counts(capsys, monkeypatch, command
     lines = capsys.readouterr().out.splitlines()
     trials = [line for line in lines if line.strip().startswith("--trials")]
     assert len(trials) == 1 and trials[0].endswith(counted)
+
+
+def test_manifest_records_run_status(tmp_path, capsys, monkeypatch):
+    # the manifest reads running while the sweep computes, then ok, or
+    # failed with the error and the exit code; a rejected run makes no
+    # directory
+    argv = ["simulate", "--preset", "fig4", "--trials", "2", "--seed", "1", "--out"]
+    real_run_sweep = cli.run_sweep
+    seen = []
+
+    def spy(spec):
+        seen.append(json.loads((tmp_path / "ok" / "manifest.json").read_text())["status"])
+        return real_run_sweep(spec)
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    assert main([*argv, str(tmp_path / "ok")]) == 0
+    assert seen == ["running"]
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
+    assert manifest["elapsed_s"] >= 0.0 and manifest["end_time"] >= manifest["timestamp"]
+    assert manifest["cores"] >= 1
+    assert {"python", "numpy", "platform"} <= manifest.keys()
+
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+    assert main([*argv, str(tmp_path / "failed")]) == 1
+    manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", 1)
+    assert manifest["error"] == "MemoryError: Unable to allocate 728. TiB for an array"
+
+    rejected = tmp_path / "rejected"
+    assert main(["simulate", "--preset", "fig4", "--trials", "0", "--out", str(rejected)]) == 2
+    assert not rejected.exists()
+
+
+def test_interrupted_run_is_recorded_as_failed(tmp_path, monkeypatch):
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_sweep", interrupted)
+    out = tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--preset", "fig4", "--trials", "2", "--seed", "1", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"], manifest["exit_code"]) == (
+        "failed", "KeyboardInterrupt", 130,
+    )

@@ -384,22 +384,33 @@ class TestWorkspace:
                 plan.scores(window.samples, work), aml_estimate(window, vp, mixture, hyp).scores
             )
 
-    def test_warm_workspace_allocates_little(self):
-        cfg, profile, mixture, _, _, plan = self.link(2, 10, "impulsive", -30, 30)
-        windows = [
-            assemble_window(cfg, profile, mixture, d, seed=(5, k), d_pad=30).samples
-            for k, d in enumerate((3, -12))
-        ]
-        work = {}
-        plan.scores(windows[0], work)
-        tracemalloc.start()
-        try:
-            plan.scores(windows[1], work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # (n_rx, noise, d_min, d_max, the offsets of two windows, bound on the
+    # second window's traced peak in KiB)
+    WARM_CASES = (
         # a fresh set of buffers for this window takes about 1.4 MB
-        assert peak < 256 * 1024
+        (2, "impulsive", -30, 30, (3, -12), 256),
+        # the single-component table lands in the workspace's period buffer,
+        # only its group scratch (about 0.5 MB) stays fresh; a fresh table
+        # of the window, 20 x 5321 doubles, is 0.85 MB on its own
+        (1, "gaussian", 0, 531, (3, 400), 768),
+    )
+
+    def test_warm_workspace_allocates_little(self):
+        for n_rx, noise, d_min, d_max, offsets, bound_kib in self.WARM_CASES:
+            cfg, profile, mixture, _, _, plan = self.link(n_rx, 10, noise, d_min, d_max)
+            windows = [
+                assemble_window(cfg, profile, mixture, d, seed=(5, k), d_pad=-d_min).samples
+                for k, d in enumerate(offsets)
+            ]
+            work = {}
+            plan.scores(windows[0], work)
+            tracemalloc.start()
+            try:
+                plan.scores(windows[1], work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_kib * 1024, noise
 
 
 # absolute floor for scores whose per-sample terms cancel to near zero
@@ -499,7 +510,8 @@ class TestSegmentKernel:
 
 class TestGroupScoring:
     """WED and ED scores of a group of windows, one fold and gather for all
-    of them, equal each window's public call bit for bit."""
+    of them out of one energy buffer laid out as a sweep lays it out, equal
+    each window's public call bit for bit."""
 
     # (preset, overrides, d_max, per-trial perturbed profiles)
     CASES = {
@@ -537,14 +549,84 @@ class TestGroupScoring:
     @pytest.mark.parametrize("size", [1, 5, 64])
     def test_scores_equal_public_calls(self, group, size):
         windows, noise_var, hyp, wed_plans, ed_plans = group
-        prefix = np.empty((size, windows[0][0].length + 1))
+        # ED folds fewer periods than WED, out of the same buffer
+        n_periods = max(wed_plans[0].n_periods, ed_plans[0].n_periods)
+        assert ed_plans[0].n_periods < n_periods
+        terms = np.empty((size, n_periods + 1, wed_plans[0].n_s))
         for k, (window, _) in enumerate(windows[:size]):
-            estimators.energy_prefix(window.samples, out=prefix[k])
-        wed = estimators.energy_scores(wed_plans[:size], prefix)
-        ed = estimators.energy_scores(ed_plans[:size], prefix)
+            estimators.energy_terms(window.samples, terms[k])
+        wed = estimators.energy_scores(wed_plans[:size], terms)
+        ed = estimators.energy_scores(ed_plans[:size], terms)
         for k, (window, vp) in enumerate(windows[:size]):
             np.testing.assert_array_equal(wed[k], wed_estimate(window, vp, noise_var, hyp).scores)
             np.testing.assert_array_equal(ed[k], ed_estimate(window, hyp).scores)
+
+
+def reference_fold(window_terms: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
+    """The fold from explicit prefix sums over the whole window:
+    ``out[x + n_s]`` is the sum over periods ``p < n_periods`` of the prefix
+    sum at ``clip(p * n_s + x, 0, m)``, for ``x`` in ``[-n_s, 2 * n_s)``."""
+    m = window_terms.shape[-1]
+    prefix = np.concatenate([[0.0], np.cumsum(window_terms)])
+    x = np.arange(-n_s, 2 * n_s)
+    return sum(prefix[np.clip(p * n_s + x, 0, m)] for p in range(n_periods))
+
+
+class TestFold:
+    """The period-first fold equals the fold of window-sized prefix sums,
+    and a row of a group folds bit for bit as it folds alone."""
+
+    @staticmethod
+    def laid_out(window_terms: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
+        """Terms period by period, zero past the window, cut after
+        ``n_periods + 1`` periods."""
+        lead, m = window_terms.shape[:-1], window_terms.shape[-1]
+        flat = np.zeros(lead + ((n_periods + 1) * n_s,))
+        n = min(m, flat.shape[-1])
+        flat[..., :n] = window_terms[..., :n]
+        return flat.reshape(lead + (n_periods + 1, n_s))
+
+    # window lengths per period count: mid-period, at a period edge, and
+    # past n_periods + 1 periods, as ED's appended loud tail
+    @pytest.mark.parametrize("n_periods", [1, 2, 3, 11])
+    @pytest.mark.parametrize("length", ["mid", "edge", "past"])
+    def test_equals_window_prefix_sums(self, rng, n_periods, length):
+        n_s = 7
+        m = {"mid": n_periods * n_s - 3, "edge": n_periods * n_s, "past": (n_periods + 3) * n_s}
+        window_terms = np.abs(rng.standard_normal((4, m[length]))) ** 0.5
+        terms = self.laid_out(window_terms, n_s, n_periods)
+        folded = estimators._fold(terms, n_periods)
+        for row, window in zip(folded, window_terms):
+            np.testing.assert_allclose(row, reference_fold(window, n_s, n_periods), rtol=1e-12)
+        # every row of the batch is bit-equal to its fold alone
+        for row, single in zip(folded, terms):
+            np.testing.assert_array_equal(row, estimators._fold(single, n_periods))
+
+    def test_reads_no_period_past_its_count(self, rng):
+        # a buffer laid out for more periods than the fold reads (ED in a
+        # sweep's energy buffer) folds as one laid out for its own count
+        window_terms = rng.standard_normal(60)
+        wide, narrow = (self.laid_out(window_terms, 8, p) for p in (6, 4))
+        np.testing.assert_array_equal(estimators._fold(wide, 4), estimators._fold(narrow, 4))
+
+    def test_dense_class_zero_below_stream_start(self):
+        # Gaussian noise keeps class 0 dense, and hypotheses d < 0 read its
+        # first -d samples below stream index 0
+        settings_ = presets.merge_settings(presets.load_preset("fig5"), {"noise": "gaussian"})
+        cfg = dataclasses.replace(presets.config_from_settings(settings_), snr_db=5.0)
+        profile = presets.profile_from_settings(settings_, cfg.n_taps)
+        mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), cfg.signal_power, cfg.snr_db)
+        vp = variance_profile_h0(cfg, profile)
+        hyp = HypothesisSet(-40, 25)
+        dense, _ = estimators._split_classes(
+            vp, mixture, hyp, cfg.window_len,
+            estimators._period_count(cfg.window_len, vp.block_len, hyp.d_max),
+        )
+        assert dense[0]
+        window = assemble_window(cfg, profile, mixture, -17, seed=(6, 2), d_pad=40)
+        result = aml_estimate(window, vp, mixture, hyp)
+        ref = [window_loglik(window.samples, int(d), vp, mixture).loglik for d in hyp.values]
+        np.testing.assert_allclose(result.scores, ref, rtol=1e-10)
 
 
 class TestNonFiniteInput:

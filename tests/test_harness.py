@@ -460,7 +460,7 @@ class TestRunSweep:
         assert all(1 <= len(chunk) <= 5 for chunk in calls)
 
     def test_serial_chunks_reuse_one_workspace(self, monkeypatch):
-        # the energy prefixes and A-ML's scratch outlive a chunk: a chunk
+        # the energy buffers and A-ML's scratch outlive a chunk: a chunk
         # after the first finds its buffers allocated, not fresh ones to fault
         real_run = harness._run_trials
         buffers = []
@@ -477,7 +477,7 @@ class TestRunSweep:
             mixture=NoiseMixture.gaussian(), d_min=0, d_max=8,
         ))
         assert len(buffers) == 3
-        assert {"prefix0", "prefix1", "window"} <= buffers[0].keys()
+        assert {"energy0", "energy1", "terms"} <= buffers[0].keys()
         for later in buffers[1:]:
             assert later.keys() == buffers[0].keys()
             assert all(later[name] is buf for name, buf in buffers[0].items())
