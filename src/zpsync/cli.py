@@ -2,10 +2,13 @@
 
 Subcommands: ``simulate`` (lock-in sweeps), ``validate-pdf`` (moment
 validation), ``sensitivity`` (the ``pdp_alpha`` sweep over delay-profile
-errors, run as ``simulate``) and ``profile`` (runtime scaling). Every run
-whose settings pass their checks creates an output directory; a rejected
-run creates none. This module writes every file in it, from the reports
-that :mod:`zpsync.harness` returns:
+errors) and ``profile`` (runtime scaling). ``sensitivity`` is ``simulate``
+with 1000 trials by default, on the ``pdp_alpha`` axis only: ``--alphas``
+gives its values, as ``--snr`` gives SNR points, or the config says
+``axis = "pdp_alpha"`` with ``values``. Every run whose settings pass their
+checks creates an output directory; a rejected run creates none. This
+module writes every file in it, from the reports that
+:mod:`zpsync.harness` returns:
 
 - ``manifest.json``: command, seed, version and the Python and numpy
   versions, core count and platform, with ``status: running`` before any
@@ -142,14 +145,13 @@ _LIST_FLAGS = {
     "antennas": ("values", str, "antennas"),
     "estimators": ("estimators", str, None),
     "k": ("ks", int, None),
-    "alphas": ("alphas", float, None),
+    "alphas": ("values", float, "pdp_alpha"),
     "sizes": ("sizes", int, None),
 }
 
 # the list setting each of these commands cannot run without, and its flag
 _REQUIRED_LISTS = {
     "validate-pdf": ("ks", "--k"),
-    "sensitivity": ("alphas", "--alphas"),
     "profile": ("sizes", "--sizes"),
 }
 
@@ -182,8 +184,9 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if not settings.get(key):
             raise ConfigFileError(f"{args.command} needs {flag} or '{key}' in the config")
     if args.command == "sensitivity":
+        if settings.get("axis") != "pdp_alpha":
+            raise ConfigFileError("sensitivity needs --alphas or axis = 'pdp_alpha' in the config")
         settings.setdefault("trials", 1000)
-        settings.update(axis="pdp_alpha", values=[float(a) for a in settings["alphas"]])
     return settings
 
 

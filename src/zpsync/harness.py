@@ -299,31 +299,33 @@ class _PointTrials:
         }
         vp = variance_profile_h0(config, spec.profile)
         self.plans = {est: self.build[est](vp) for est in spec.estimators}
-        self.energy = [est for est in spec.estimators if est != "aml"]
-        # every period some energy plan folds; ED folds fewer than WED
-        n_periods = max((self.plans[est].n_periods for est in self.energy), default=0)
-        self.energies = scratch(work, f"energy{p}", (n_trials, n_periods + 1, config.block_len))
+        # each energy detector's plan per trial, read when the chunk is scored
+        self.energy = {est: [] for est in spec.estimators if est != "aml"}
+        if self.energy:
+            # every period some energy plan folds; ED folds fewer than WED
+            n_periods = max(self.plans[est].n_periods for est in self.energy)
+            self.energies = scratch(work, f"energy{p}", (n_trials, n_periods + 1, config.block_len))
         self.elapsed = dict.fromkeys(spec.estimators, 0)
         self.d_hat = {est: [] for est in spec.estimators}
-        self.trial_plans = []
 
     def score(self, k: int, samples: np.ndarray, signs: np.ndarray | None) -> None:
         """Score the window of the chunk's trial ``k``; ``signs`` are the
         trial's profile-error signs on the ``pdp_alpha`` axis."""
-        trial_plans = self.plans
+        plans = self.plans
         if signs is not None and self.value > 0:
             perturbed = self.spec.profile.perturbed(float(self.value), signs)
             vp = variance_profile_h0(self.config, perturbed)
             # ED's plan reads no profile, so it stays the point's
-            trial_plans = {
+            plans = {
                 est: self.build[est](vp) if est != "ed" else plan
                 for est, plan in self.plans.items()
             }
-        self.trial_plans.append(trial_plans)
+        for est, kept in self.energy.items():
+            kept.append(plans[est])
         check_finite(samples)
-        if "aml" in trial_plans:
+        if "aml" in plans:
             t0 = time.perf_counter_ns()
-            plan = trial_plans["aml"]
+            plan = plans["aml"]
             self.d_hat["aml"].append(plan.decide(plan.scores(samples, self.work)))
             self.elapsed["aml"] += time.perf_counter_ns() - t0
         if self.energy:
@@ -335,10 +337,9 @@ class _PointTrials:
 
     def outcomes(self, trials: range, d_true: list[int]) -> list[TrialOutcome]:
         """Score WED and ED over the chunk and return its outcomes."""
-        for est in self.energy:
+        for est, plans in self.energy.items():
             t0 = time.perf_counter_ns()
-            est_plans = [p[est] for p in self.trial_plans]
-            self.d_hat[est] = est_plans[0].decide(energy_scores(est_plans, self.energies))
+            self.d_hat[est] = plans[0].decide(energy_scores(plans, self.energies))
             self.elapsed[est] += time.perf_counter_ns() - t0
         # one mapping per chunk: each trial carries the chunk's mean times
         mean_ns = {est: round(ns / len(trials)) for est, ns in self.elapsed.items()}
@@ -362,12 +363,13 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[Tr
     estimator scores from a plan built once per point and chunk. On the
     ``pdp_alpha`` axis, where the assumed profile changes per trial, the
     plans that read it (A-ML's and WED's) are built once per trial and
-    point. A-ML scores each window as it is built, every point into the
-    workspace: its buffers grow to the largest point's and are then reused,
-    where fresh ones would be faulted in again on every window. WED and ED
-    keep only each window's per-sample energies, in one workspace buffer per
-    point, and score the whole chunk at its end. A serial sweep hands every
-    chunk the same workspace, so no chunk after the first faults them in.
+    point; only WED's is kept until the chunk is scored. A-ML scores each
+    window as it is built, every point into the workspace: its buffers grow
+    to the largest point's and are then reused, where fresh ones would be
+    faulted in again on every window. WED and ED keep only each window's
+    per-sample energies, in one workspace buffer per point that runs them,
+    and score the whole chunk at its end. A serial sweep hands every chunk
+    the same workspace, so no chunk after the first faults them in.
     """
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
@@ -406,15 +408,16 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     """Run every sweep point and aggregate lock-in statistics.
 
     All selected estimators see the identical window in each trial, so a
-    difference between their columns is purely an estimator effect. With
-    ``workers > 1`` one process pool serves every point of the sweep; it
-    starts no more processes than there are trials or cores.
+    difference between their columns is purely an estimator effect. One
+    process pool serves every point of the sweep when ``workers``, the
+    trials and the cores all allow two or more processes, and it starts no
+    more than the least of them; otherwise the sweep runs in this process.
     """
     rows: list[PointResult] = []
     all_outcomes: dict = {}
     processes = min(spec.workers, spec.trials, os.cpu_count() or 1)
     pool_context = (
-        futures.ProcessPoolExecutor(processes) if spec.workers > 1 else contextlib.nullcontext()
+        futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext()
     )
     with pool_context as pool:
         size = min(_SEED_GROUP, math.ceil(spec.trials / (4 * processes))) if pool else _SEED_GROUP
@@ -630,8 +633,9 @@ def check_scaling_run(multipliers, trials: int, master_seed: int) -> list[int]:
     checking them, the trial count and the master seed; raises
     :class:`ConfigError`."""
     multipliers = _ints("sizes", multipliers)
-    if len(set(multipliers)) < 3 or min(multipliers) < 1:
-        raise ConfigError(f"need at least 3 distinct sizes >= 1 for a scaling fit: {multipliers}")
+    if len(multipliers) < 3 or min(multipliers) < 1:
+        raise ConfigError(f"need at least 3 sizes >= 1 for a scaling fit: {multipliers}")
+    _reject_repeats("sizes", multipliers)
     _check_run(trials, master_seed)
     if trials < 1:
         raise ConfigError("trials must be >= 1")

@@ -47,7 +47,6 @@ _KEY_TYPES = {
     "pdp_decay": _FLOAT,
     "pdp_powers": [_FLOAT],
     "ks": [_INT],
-    "alphas": [_FLOAT],
     "sizes": [_INT],
 }
 

@@ -234,10 +234,13 @@ def test_sensitivity_is_a_pdp_alpha_sweep(tmp_path):
         )
     )
     common = ["--config", str(cfg), "--trials", "6", "--seed", "3"]
-    sens, sim = tmp_path / "sens", tmp_path / "sim"
+    sens, sim, cfg_only = tmp_path / "sens", tmp_path / "sim", tmp_path / "cfg"
     assert main(["sensitivity", *common, "--alphas", "0,0.5", "--out", str(sens)]) == 0
     assert main(["simulate", *common, "--out", str(sim)]) == 0
+    # the config's axis and values are enough: --alphas was once required
+    assert main(["sensitivity", *common, "--out", str(cfg_only)]) == 0
     assert (sens / "spec.json").read_text() == (sim / "spec.json").read_text()
+    assert (cfg_only / "spec.json").read_text() == (sim / "spec.json").read_text()
     lock_in = ["axis", "value", "estimator", "trials", "successes", "lock_in", "ci_lo", "ci_hi"]
     rows = [
         [[row[c] for c in lock_in] for row in read_rows(out / "sweep.csv")] for out in (sens, sim)
@@ -250,6 +253,16 @@ def test_sensitivity_without_alphas_exits_2(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["sensitivity", "--preset", "fig2", "--seed", "1", "--out", str(out)]) == 2
     assert "sensitivity needs --alphas" in capsys.readouterr().err
+
+
+def test_simulate_runs_fig7_as_sensitivity_does(tmp_path):
+    # fig7 once spelled its axis values 'alphas', which only sensitivity read:
+    # simulate --preset fig7 exited 2 with "sweep needs 'values'"
+    common = ["--preset", "fig7", "--trials", "2", "--seed", "5"]
+    sens, sim = tmp_path / "sens", tmp_path / "sim"
+    assert main(["sensitivity", *common, "--out", str(sens)]) == 0
+    assert main(["simulate", *common, "--out", str(sim)]) == 0
+    assert (sens / "spec.json").read_text() == (sim / "spec.json").read_text()
 
 
 def test_sensitivity_alpha_out_of_domain(tmp_path):
@@ -370,7 +383,7 @@ _REJECTED_RUNS = {
     ("validate-pdf", "--preset", "table1", "--k", "1", "--trials", "1"): (
         "moment validation needs at least 2 trials"
     ),
-    ("profile", "--preset", "fig4", "--sizes", "1,1,2"): "need at least 3 distinct sizes",
+    ("profile", "--preset", "fig4", "--sizes", "1,1,2"): "sizes must not repeat, got 1 twice",
     ("simulate", "--preset", "fig2", "--snr=-4000"): "snr_db = -4000.0 gives noise power inf",
     ("simulate", "--preset", "fig2", "--snr=4000"): "snr_db = 4000.0 gives noise power 0.0",
     ("simulate", "--preset", "fig2", "--snr", "0,10", "--blocks", "2"): (
@@ -379,6 +392,8 @@ _REJECTED_RUNS = {
     ("simulate", "--preset", "fig5", "--blocks", "2", "--antennas", "2x2"): (
         "a run sweeps one axis: give one of --blocks, --antennas"
     ),
+    # three distinct sizes let a repeat through, into two rows and the fit
+    ("profile", "--preset", "fig4", "--sizes", "1,1,2,4"): "sizes must not repeat, got 1 twice",
 }
 
 
@@ -431,12 +446,14 @@ def test_rejected_config_leaves_no_output(tmp_path, capsys, case):
 
 @pytest.mark.parametrize(
     "line",
-    ['command = "simulate"', "var_nominal = 2.0", "pdp_scale = 2.0", "pdp_normalized = false"],
+    ['command = "simulate"', "var_nominal = 2.0", "pdp_scale = 2.0", "pdp_normalized = false",
+     "alphas = [0.0, 0.5]"],
 )
 def test_deleted_config_key_exits_2(tmp_path, capsys, line):
     # no result read these: every run scales the noise to its SNR (only the
     # impulse-to-nominal ratio var_impulse counts), exponential profiles are
-    # normalized, and the command comes from the command line
+    # normalized, and the command comes from the command line; the pdp_alpha
+    # values are 'values', as on every axis
     cfg = tmp_path / "exp.toml"
     cfg.write_text(f"trials = 2\n{line}\n")
     out = tmp_path / "o"
@@ -651,14 +668,19 @@ def test_python_m_zpsync_runs_from_a_checkout(tmp_path):
     assert (tmp_path / "o" / "moments.csv").is_file()
 
 
-@pytest.mark.parametrize("sizes", ["1,1,1", "1,2,2", "0,1,2"])
-def test_profile_needs_three_distinct_sizes(tmp_path, capsys, sizes):
+@pytest.mark.parametrize(
+    "sizes, message",
+    [("1,1,1", "sizes must not repeat"), ("1,2,2", "sizes must not repeat"),
+     ("0,1,2", "at least 3 sizes >= 1")],
+    ids=["1,1,1", "1,2,2", "0,1,2"],
+)
+def test_profile_needs_three_distinct_sizes(tmp_path, capsys, sizes, message):
     # a log-log slope fitted on fewer than 3 distinct window lengths means nothing
     out = tmp_path / "o"
     argv = ["profile", "--preset", "fig2", "--sizes", sizes, "--seed", "1", "--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "distinct sizes >= 1" in captured.err
+    assert message in captured.err
     assert "slope" not in captured.out
     assert not (out / "scaling.csv").exists()
 

@@ -406,6 +406,8 @@ class TestRunSweep:
                 asked.append(max_workers)
 
         monkeypatch.setattr(harness, "futures", mock.Mock(ProcessPoolExecutor=CountingPool))
+        # more cores than trials, whatever the host has
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         spec = small_spec(trials=3)
         pooled = run_sweep(dataclasses.replace(spec, workers=10**6), keep_outcomes=True)
         assert len(asked) == 1 and 1 <= asked[0] <= 3
@@ -413,6 +415,20 @@ class TestRunSweep:
         assert [(o.d_true, o.d_hat) for o in pooled.outcomes[12.0]] == [
             (o.d_true, o.d_hat) for o in serial.outcomes[12.0]
         ]
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_one_process_runs_without_a_pool(self, monkeypatch, cores):
+        # a pool of one process used to be started, which forked a process
+        # and cut the trials as for a pool
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a one-process pool was started")
+
+        monkeypatch.setattr(harness, "futures", mock.Mock(ProcessPoolExecutor=NoPool))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        # one trial, or one core, leaves one process whatever the workers
+        spec = small_spec(trials=1 if cores > 1 else 3, workers=4)
+        run_sweep(spec)
 
     def test_seed_groups_leave_outcomes_unchanged(self, monkeypatch):
         # window seeds are derived, and WED and ED scored, a group of trials
@@ -481,6 +497,10 @@ class TestRunSweep:
         for later in buffers[1:]:
             assert later.keys() == buffers[0].keys()
             assert all(later[name] is buf for name, buf in buffers[0].items())
+        # a point that runs only A-ML writes no energies, so it gets no buffer
+        buffers.clear()
+        run_sweep(small_spec(trials=3, values=(6.0, 12.0)))
+        assert not any(name.startswith("energy") for name in buffers[0])
 
     def test_group_shares_one_timing_mapping(self, monkeypatch):
         # each trial of a group carries the group's mean time per estimator,
@@ -835,6 +855,22 @@ class TestPdpSensitivity:
         assert len(report.rows) == 2
         assert report.rows[0].trials == report.rows[1].trials == 10
 
+    def test_chunk_keeps_no_aml_plan_per_trial(self):
+        # each trial's perturbed A-ML plan used to be held until its chunk
+        # ended (a 64-trial chunk traced about 4 MiB against 0.6 at 8
+        # trials); only WED and ED read their per-trial plans after the window
+        run_sweep(small_spec(axis="pdp_alpha", values=(0.2, 0.5), trials=2))  # warm caches
+        peaks = []
+        for trials in (8, 64):
+            spec = small_spec(axis="pdp_alpha", values=(0.2, 0.5), trials=trials)
+            tracemalloc.start()
+            try:
+                run_sweep(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
 
 class TestRuntimeScaling:
     def test_linear_complexity_smoke(self):
@@ -859,8 +895,15 @@ class TestRuntimeScaling:
 
     @pytest.mark.parametrize("sizes", [[1, 1, 1], [1, 2, 2, 1], [0, 1, 2], [-1, 1, 2]])
     def test_needs_three_distinct_sizes_of_at_least_one(self, sizes):
-        with pytest.raises(ConfigError, match="distinct sizes >= 1"):
+        message = "at least 3 sizes >= 1" if min(sizes) < 1 else "sizes must not repeat"
+        with pytest.raises(ConfigError, match=message):
             run_runtime_scaling(SMALL, sizes, trials=3)
+
+    def test_rejects_repeated_size(self):
+        # three distinct sizes used to let a repeat through: it was timed
+        # twice and counted twice in the slope fit
+        with pytest.raises(ConfigError, match="sizes must not repeat, got 1 twice"):
+            harness.check_scaling_run([1, 1, 2, 4], trials=3, master_seed=0)
 
     def test_caller_link_reaches_estimator(self, monkeypatch):
         profiles, mixtures = [], []

@@ -17,3 +17,10 @@ def test_prints_one_line_per_call(capsys):
     assert [row[0] for row in rows] == ["0", "1"]
     assert all(float(row[1]) > 0 and int(row[2]) >= 0 for row in rows)
     assert out[-1].split()[0] == "median"
+
+
+def test_runs_fig7_with_no_axis_override(capsys):
+    # fig7 spelled its axis values 'alphas', so it needed axis and values set
+    assert minor_faults.main(["fig7", "--set", "trials=2", "--calls", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["call", "0", "median"]

@@ -100,8 +100,8 @@ class TestLinkKeys:
                 parse_flat_config(line)
 
 
-# each sweep preset's config_hash at master seed 7, fig7 as the pdp_alpha
-# sweep that `sensitivity` runs: the schema may change, these runs may not
+# each sweep preset's config_hash at master seed 7: the schema may change,
+# these runs may not
 _PRESET_HASHES = {
     "fig2": "07d14c48eef36487",
     "fig3": "ab0b9e08b6b8e428",
@@ -115,8 +115,6 @@ _PRESET_HASHES = {
 @pytest.mark.parametrize("name", sorted(_PRESET_HASHES))
 def test_preset_config_hash_is_pinned(name):
     settings = load_preset(name)
-    if name == "fig7":
-        settings = dict(settings, axis="pdp_alpha", values=settings["alphas"])
     assert spec_hash(spec_from_settings(settings, master_seed=7)) == _PRESET_HASHES[name]
 
 

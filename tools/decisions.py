@@ -2,8 +2,7 @@
 decision-identical with one ``diff``.
 
 Runs ``harness.run_sweep`` on each named preset (all sweep presets by
-default; fig7 runs as its ``pdp_alpha`` sweep, as ``zpsync sensitivity``
-runs it) with the given master seed, trial count and worker count. Prints
+default) with the given master seed, trial count and worker count. Prints
 one JSON line per sweep point: the preset, the sweep's ``config_hash``, the
 axis value, the successes per estimator and the point's
 ``[trial_index, d_true, d_hat]`` list. A last line gives the SHA-256 digest
@@ -36,8 +35,6 @@ SWEEP_PRESETS = tuple(name for name in presets.PRESET_NAMES if name != "table1")
 def decision_lines(preset: str, seed: int, trials: int, workers: int) -> list[str]:
     """One JSON line per sweep point of ``preset``."""
     settings = presets.merge_settings(presets.load_preset(preset), {"trials": trials})
-    if "alphas" in settings:
-        settings.update(axis="pdp_alpha", values=settings["alphas"])
     spec = presets.spec_from_settings(settings, master_seed=seed, workers=workers)
     report = harness.run_sweep(spec, keep_outcomes=True)
     lines = []

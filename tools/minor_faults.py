@@ -13,9 +13,6 @@ Example, the fig5 A-ML point set at 5 dB:
 
     python tools/minor_faults.py fig5 --set 'values=["1x1","2x2"]' \\
         --set snr_db=5 --set trials=10 --calls 20
-
-A preset run by ``zpsync sensitivity`` (fig7) gives its axis here, as
-``--set axis=pdp_alpha --set 'values=[0,0.1,0.3,0.5,0.7]'``.
 """
 
 from __future__ import annotations
