@@ -184,14 +184,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's true and estimated offsets.
+    """One trial's true and estimated offsets, built only for a sweep run
+    with ``keep_outcomes``.
 
     ``elapsed_ns`` is shared by every trial of a chunk of at most
     ``_SEED_GROUP`` trials: it holds the chunk's mean time per estimator,
-    since WED and ED score the whole chunk at once. WED and ED split the
-    time of the per-sample energies they share evenly. The mean over a
-    point's trials is its total over its trial count, up to integer
-    rounding.
+    rounded to an int, since WED and ED score the whole chunk at once. WED
+    and ED split the time of the per-sample energies they share evenly.
     """
 
     trial_index: int
@@ -335,24 +334,22 @@ class _PointTrials:
             for est in self.energy:
                 self.elapsed[est] += shared_ns
 
-    def outcomes(self, trials: range, d_true: list[int]) -> list[TrialOutcome]:
-        """Score WED and ED over the chunk and return its outcomes."""
+    def decisions(self) -> tuple[np.ndarray, list[int]]:
+        """Score WED and ED over the chunk. Return the chunk's decisions, one
+        row per estimator of the spec, and its total ns per estimator."""
         for est, plans in self.energy.items():
             t0 = time.perf_counter_ns()
             self.d_hat[est] = plans[0].decide(energy_scores(plans, self.energies))
             self.elapsed[est] += time.perf_counter_ns() - t0
-        # one mapping per chunk: each trial carries the chunk's mean times
-        mean_ns = {est: round(ns / len(trials)) for est, ns in self.elapsed.items()}
-        return [
-            TrialOutcome(t, d, {est: int(self.d_hat[est][k]) for est in self.d_hat}, mean_ns)
-            for k, (t, d) in enumerate(zip(trials, d_true))
-        ]
+        return np.array(list(self.d_hat.values())), list(self.elapsed.values())
 
 
-def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[TrialOutcome]]:
-    """Outcomes of a chunk of at most ``_SEED_GROUP`` trials at every sweep
-    point, one list per value of ``spec.values``, scored into the scratch
-    workspace ``work``.
+def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.ndarray, ...]:
+    """Decisions of a chunk of at most ``_SEED_GROUP`` trials at every sweep
+    point, scored into the scratch workspace ``work``: the true offsets,
+    shaped ``(trials,)``; the estimates, ``(points, estimators, trials)``;
+    and the total ns per point and estimator, ``(points, estimators)``, in
+    the order of ``spec.values`` and ``spec.estimators``.
 
     The run is trial-major. The window seeds of the whole chunk are derived
     at once. Each trial's substreams are drawn once, for the sweep's largest
@@ -397,7 +394,8 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> list[list[Tr
                 signals[link] = stream_signal(draws, point.config, spec.profile)[0]
             hi = lo + point.config.window_len
             point.score(k, finish_stream(draws, point.mixture, signals[link], lo, hi), signs)
-    return [point.outcomes(trials, d_true) for point in points]
+    d_hat, ns = zip(*(point.decisions() for point in points))
+    return np.array(d_true), np.array(d_hat), np.array(ns)
 
 
 def _chunks(n: int, size: int) -> list[range]:
@@ -412,9 +410,16 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
     process pool serves every point of the sweep when ``workers``, the
     trials and the cores all allow two or more processes, and it starts no
     more than the least of them; otherwise the sweep runs in this process.
+
+    Each chunk returns its decisions and times as arrays. The sweep adds up
+    the successes and ns per point and estimator as the chunks arrive, so a
+    row's ``mean_ns`` is its total ns over its trials. It builds a
+    :class:`TrialOutcome` per trial and point only with ``keep_outcomes``;
+    without it, the sweep's memory does not grow with its trials.
     """
-    rows: list[PointResult] = []
-    all_outcomes: dict = {}
+    shape = len(spec.values), len(spec.estimators)
+    successes, total_ns = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    outcomes = {value: [] for value in spec.values} if keep_outcomes else None
     processes = min(spec.workers, spec.trials, os.cpu_count() or 1)
     pool_context = (
         futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext()
@@ -423,28 +428,25 @@ def run_sweep(spec: ExperimentSpec, keep_outcomes: bool = False) -> SweepReport:
         size = min(_SEED_GROUP, math.ceil(spec.trials / (4 * processes))) if pool else _SEED_GROUP
         # one workspace for every chunk; a pool task gets its own copy
         run = functools.partial(_run_trials, spec, {})
-        chunks = list((pool.map if pool else map)(run, _chunks(spec.trials, size)))
-    for p, value in enumerate(spec.values):
-        outcomes = [o for chunk in chunks for o in chunk[p]]
-        for est in spec.estimators:
-            successes = sum(1 for o in outcomes if o.d_hat[est] == o.d_true)
-            ci_lo, ci_hi = wilson_interval(successes, spec.trials)
-            mean_ns = float(np.mean([o.elapsed_ns[est] for o in outcomes]))
-            rows.append(
-                PointResult(
-                    axis_value=value,
-                    estimator=est,
-                    trials=spec.trials,
-                    successes=successes,
-                    lock_in=successes / spec.trials,
-                    ci_lo=ci_lo,
-                    ci_hi=ci_hi,
-                    mean_ns=mean_ns,
-                )
-            )
-        if keep_outcomes:
-            all_outcomes[value] = outcomes
-    return SweepReport(spec=spec, rows=tuple(rows), outcomes=all_outcomes if keep_outcomes else None)
+        chunks = _chunks(spec.trials, size)
+        for trials, (d_true, d_hat, ns) in zip(chunks, (pool.map if pool else map)(run, chunks)):
+            successes += np.count_nonzero(d_hat == d_true, axis=-1)
+            total_ns += ns
+            if keep_outcomes:
+                for value, hats, point_ns in zip(spec.values, d_hat, ns.tolist()):
+                    # one mapping per chunk: each trial carries the chunk's mean times
+                    mean_ns = {e: round(n / len(trials)) for e, n in zip(spec.estimators, point_ns)}
+                    outcomes[value] += [
+                        TrialOutcome(t, d, dict(zip(spec.estimators, h)), mean_ns)
+                        for t, d, h in zip(trials, d_true.tolist(), hats.T.tolist())
+                    ]
+    rows = tuple(
+        PointResult(value, est, spec.trials, s, s / spec.trials,
+                    *wilson_interval(s, spec.trials), ns / spec.trials)
+        for value, point_s, point_ns in zip(spec.values, successes.tolist(), total_ns.tolist())
+        for est, s, ns in zip(spec.estimators, point_s, point_ns)
+    )
+    return SweepReport(spec=spec, rows=rows, outcomes=outcomes)
 
 
 @dataclass(frozen=True)

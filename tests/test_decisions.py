@@ -27,9 +27,10 @@ def test_two_runs_print_the_same_digest(capsys):
 
 
 def test_sweep_presets_decisions_are_pinned(capsys):
-    # every point of all six sweep presets, serially; 70 trials cross the
-    # 64-trial chunk boundary. A refactor that is meant to be
-    # decision-identical must leave this digest as it is
-    assert decisions.main(["--trials", "70", "--seed", "5"]) == 0
-    digest = capsys.readouterr().out.splitlines()[-1]
-    assert digest == "digest 1c4795dd29b4f8a054fb20423d25905754479e66767763af981b0ed8ceacd178"
+    # every point of all six sweep presets, serially and merged from a pool's
+    # chunks; 70 trials cross the 64-trial chunk boundary. A refactor that
+    # is meant to be decision-identical must leave this digest as it is
+    pinned = "digest 1c4795dd29b4f8a054fb20423d25905754479e66767763af981b0ed8ceacd178"
+    for workers in ("1", "2"):
+        assert decisions.main(["--trials", "70", "--seed", "5", "--workers", workers]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == pinned, workers

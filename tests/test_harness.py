@@ -300,16 +300,24 @@ class TestRunSweep:
             small_spec(trials=12, axis="antennas", values=((1, 2), (2, 1), (1, 1))),
             small_spec(trials=12, axis="n_blocks", values=(3, 1, 2)),
         )
+
+        def untimed(report):
+            return [dataclasses.replace(row, mean_ns=0.0) for row in report.rows]
+
         for spec in specs:
             serial = run_sweep(spec, keep_outcomes=True)
             parallel = run_sweep(dataclasses.replace(spec, workers=2), keep_outcomes=True)
-            untimed = [dataclasses.replace(row, mean_ns=0.0) for row in serial.rows]
-            assert untimed == [dataclasses.replace(row, mean_ns=0.0) for row in parallel.rows]
+            assert untimed(serial) == untimed(parallel), spec.axis
             for value in spec.values:
                 assert [(o.trial_index, o.d_true, o.d_hat) for o in serial.outcomes[value]] == [
                     (o.trial_index, o.d_true, o.d_hat) for o in parallel.outcomes[value]
                 ], (spec.axis, value)
-        assert len(pools) == len(specs)  # one pool per sweep, not one per value
+            # a sweep that keeps no outcomes counts the same successes
+            for workers in (1, 2):
+                unkept = run_sweep(dataclasses.replace(spec, workers=workers))
+                assert unkept.outcomes is None
+                assert untimed(unkept) == untimed(serial), (spec.axis, workers)
+        assert len(pools) == 2 * len(specs)  # one pool per pooled sweep, not one per value
 
     @pytest.mark.parametrize(
         "axis, values",
@@ -504,8 +512,9 @@ class TestRunSweep:
 
     def test_group_shares_one_timing_mapping(self, monkeypatch):
         # each trial of a group carries the group's mean time per estimator,
-        # so a point's mean_ns is its total time over its trials
-        clock = iter(range(0, 10**9, 1000))
+        # and a point's mean_ns is its total time over its trials, exactly: an
+        # odd span leaves chunk means that round, so a mean of them is off
+        clock = iter(range(0, 10**9, 1001))
         monkeypatch.setattr(harness, "time", mock.Mock(perf_counter_ns=lambda: next(clock)))
         monkeypatch.setattr(harness, "_SEED_GROUP", 5)
         spec = small_spec(
@@ -518,11 +527,30 @@ class TestRunSweep:
         for group in groups:
             assert all(o.elapsed_ns is group[0].elapsed_ns for o in group)
         assert len({id(group[0].elapsed_ns) for group in groups}) == 3
-        # every timed span reads 1000 ns: A-ML one per trial; WED and ED
-        # half of each trial's shared energy prefix plus one per group
-        totals = {"aml": 1000 * 12, "wed": 500 * 12 + 1000 * 3, "ed": 500 * 12 + 1000 * 3}
+        # every timed span reads 1001 ns: A-ML one per trial; WED and ED
+        # half of each trial's shared energy prefix (500) plus one per group
+        totals = {"aml": 1001 * 12, "wed": 500 * 12 + 1001 * 3, "ed": 500 * 12 + 1001 * 3}
         for row in report.rows:
-            assert row.mean_ns == pytest.approx(totals[row.estimator] / spec.trials, abs=1.0)
+            assert row.mean_ns == totals[row.estimator] / spec.trials
+
+    def test_unkept_sweep_memory_does_not_grow_with_trials(self):
+        # every chunk used to return a TrialOutcome per trial and point, and
+        # the sweep held them all to count them, outcomes kept or not (about
+        # 1.8 MiB more at 640 trials than at 64)
+        spec = small_spec(
+            values=tuple(float(snr) for snr in range(0, 20, 2)), estimators=("wed", "ed"),
+            mixture=NoiseMixture.gaussian(), d_min=0, d_max=8,
+        )
+        run_sweep(dataclasses.replace(spec, trials=64))  # warm caches
+        peaks = []
+        for trials in (64, 640):
+            tracemalloc.start()
+            try:
+                run_sweep(dataclasses.replace(spec, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 2**10, peaks
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
