@@ -12,8 +12,10 @@ trial's seeds to its raw draws in a few array passes: :func:`window_seeds`
 derives the seeds of all its substreams (of a whole chunk of trials, in the
 harness) in one numpy pass of ``SeedSequence``'s hash, all blocks' data go
 through one inverse DFT, and each noise substream writes its unit normals
-straight into one array. :func:`stream_signal` and :func:`finish_stream`
-then scale, convolve and add them for one link and one noise mixture. A
+straight into one array. It draws the stream only up to the last sample
+that its caller's windows read. :func:`stream_signal` and
+:func:`finish_stream` then scale, convolve and add them for one link and
+one noise mixture. A
 smaller link's draws are a prefix of a larger link's (fewer antennas, fewer
 blocks), so one draw serves every point of a sweep. The result is the same
 bits as drawing block by block with :func:`~zpsync.waveform.generate_block`
@@ -358,24 +360,29 @@ def _taps(profile: DelayProfile, normals: np.ndarray) -> np.ndarray:
 
 
 def _draw_unit_noise(
-    rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray | None
+    rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray | None, span: int
 ) -> None:
-    """Draw one substream's noise before scaling, in place.
+    """Draw the first ``out.size`` samples of a substream's ``span`` of
+    noise before scaling, in place.
 
-    The substream first gives one uniform per sample (the component choice,
-    written to ``uniforms``), then unit normal I/Q pairs written through the
-    float64 view of the complex ``out``. A single-component mixture
-    (``uniforms=None``) needs no choice and skips the uniforms with
-    ``advance``: PCG64's ``random()`` consumes exactly one 64-bit output per
-    double, so the normals that follow are the same as after drawing and
-    discarding them. ``advance`` also drops the half of a 64-bit output that
-    the generator may hold back for its next 32-bit integer draw, so skip
-    only on a generator that holds none, such as a fresh substream.
+    The substream first gives one uniform per sample of the span (the
+    component choice; those of the first samples written to ``uniforms``),
+    then unit normal I/Q pairs written through the float64 view of the
+    complex ``out``. The uniforms of the samples past ``out`` are skipped
+    with ``advance``, as are all of them for a single-component mixture
+    (``uniforms=None``), which needs no choice: PCG64's ``random()``
+    consumes exactly one 64-bit output per double, so the normals that
+    follow are the same as after drawing and discarding them. ``advance``
+    also drops the half of a 64-bit output that the generator may hold back
+    for its next 32-bit integer draw, so skip only on a generator that
+    holds none, such as a fresh substream.
     """
-    if uniforms is None:
-        rng.bit_generator.advance(out.size)
-    else:
+    drawn = 0
+    if uniforms is not None:
         rng.random(out=uniforms)
+        drawn = uniforms.size
+    if span > drawn:
+        rng.bit_generator.advance(span - drawn)
     rng.standard_normal(out=out.view(np.float64))
 
 
@@ -408,7 +415,7 @@ def draw_noise(mixture: NoiseMixture, count: int, rng: np.random.Generator) -> n
     """
     samples = np.empty(count, dtype=np.complex128)
     uniforms = np.empty(count)  # drawn even for one component: see _draw_unit_noise
-    _draw_unit_noise(rng, samples, uniforms)
+    _draw_unit_noise(rng, samples, uniforms, count)
     _scale_noise(mixture, samples, uniforms if mixture.n_components > 1 else None)
     return samples
 
@@ -455,7 +462,8 @@ def convolve_frame(frame: np.ndarray, taps: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StreamDraws:
     """A trial's draws before any link's scaling: what :func:`draw_stream`
-    takes from the substreams, in stream order.
+    takes from the substreams, in stream order, for the stream samples
+    before ``stop`` (counted from the first pre-pad sample).
 
     The draws of a link with fewer antennas or blocks are a prefix of these:
     the first ``n_tx`` rows of ``rows`` and their first blocks, the first
@@ -463,11 +471,12 @@ class StreamDraws:
     rows of ``noise`` and their first samples.
     """
 
-    rows: np.ndarray  # (n_tx, n_gen, block_len) unscaled data rows, zero tails
+    rows: np.ndarray  # (n_tx, blocks that start before stop, block_len), unscaled, zero tails
     normals: np.ndarray  # the channel substream's unit normals, flat
-    noise: np.ndarray  # (n_rx, d_pad + n_gen * block_len) unit complex noise
+    noise: np.ndarray  # (n_rx, stop) unit complex noise, a view
     uniforms: np.ndarray | None  # component choices, like noise; None for one component
     d_pad: int
+    stop: int
 
 
 def draw_stream(
@@ -476,12 +485,14 @@ def draw_stream(
     mixture: NoiseMixture,
     d_pad: int,
     seeds: np.ndarray,
+    stop: int,
 ) -> StreamDraws:
-    """Draw a trial's stream for indices [-d_pad, (n_blocks+1)*block_len),
-    before any scaling.
+    """Draw a trial's stream for indices [-d_pad, stop - d_pad), before any
+    scaling: the ``stop`` samples from the first pre-pad sample on that the
+    windows read, up to the end of the stream at (n_blocks+1)*block_len.
 
     Index 0 is the first transmitted sample; the d_pad leading samples are
-    pure noise. One extra block beyond n_blocks is drawn so windows
+    pure noise. The stream holds one extra block beyond n_blocks, so windows
     starting anywhere up to block_len - 1 stay in support. ``seeds`` is the
     trial's row of :func:`window_seeds` for ``config`` and ``d_pad``: every
     draw comes from a substream of the trial's seed, independent of d_pad
@@ -491,35 +502,51 @@ def draw_stream(
     d_pad is 0) and the noise under block n from
     ``(seed, STREAM_NOISE, j, n + 1)``.
 
-    The data of all (i, n) blocks go through one gather and one inverse DFT
-    into a zeroed (n_tx, n_gen, block_len) array; each noise substream draws
-    its component uniforms (only for a mixture of several components; the
+    Only what starts before ``stop`` is drawn: no generator is built for a
+    block or a noise span that starts at or after it. The data of the drawn
+    (i, n) blocks go through one gather and one inverse DFT into a zeroed
+    (n_tx, blocks, block_len) array; each noise substream draws its
+    component uniforms (only for a mixture of several components; the
     mixture is read for nothing else) and unit normals straight into the
-    stream (a single-component mixture skips the uniforms with
-    ``advance(count)``, which is exact, see :func:`_draw_unit_noise`).
+    stream. The span that ``stop`` cuts draws both up to the cut and skips
+    the uniforms past it with ``advance``, as a single-component mixture
+    skips all of them; both skips are exact, see :func:`_draw_unit_noise`.
     """
     n_s = config.block_len
     n_gen = config.n_blocks + 1
-    rngs = [_seeded(state) for state in seeds]
-    normals = rngs[0].standard_normal(config.n_rx * config.n_tx * profile.n_taps * 2)
+    end = d_pad + n_gen * n_s
+    if not 0 <= stop <= end:
+        raise ValueError(f"stop={stop} outside the stream [0, {end}]")
+    normals = _seeded(seeds[0]).standard_normal(config.n_rx * config.n_tx * profile.n_taps * 2)
+    # signal block n starts at d_pad + n * n_s
+    n_drawn = max(0, -(-(stop - d_pad) // n_s))
     n_sig = config.n_tx * n_gen
-    rows = np.zeros((config.n_tx, n_gen, n_s), dtype=np.complex128)
-    draw_unscaled_blocks(config, rngs[1 : 1 + n_sig], rows.reshape(-1, n_s)[:, : config.n_data])
+    rows = np.zeros((config.n_tx, n_drawn, n_s), dtype=np.complex128)
+    if n_drawn:
+        block_seeds = seeds[1 : 1 + n_sig].reshape(config.n_tx, n_gen, -1)[:, :n_drawn]
+        rngs = [_seeded(state) for row in block_seeds for state in row]
+        draw_unscaled_blocks(config, rngs, rows.reshape(-1, n_s)[:, : config.n_data])
 
     # noise block 0 is the pre-pad, block n + 1 lies under signal block n
     edges = [0] + [d_pad + n * n_s for n in range(n_gen + 1)]
     spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    noise = np.empty((config.n_rx, d_pad + n_gen * n_s), dtype=np.complex128)
-    uniforms = np.empty(noise.shape) if mixture.n_components > 1 else None
-    noise_rngs = iter(rngs[1 + n_sig :])
+    # views of whole-stream buffers: allocations whose size changed from
+    # trial to trial fragmented the heap and raised peak memory
+    noise = np.empty((config.n_rx, end), dtype=np.complex128)[:, :stop]
+    uniforms = np.empty((config.n_rx, end))[:, :stop] if mixture.n_components > 1 else None
+    noise_seeds = seeds[1 + n_sig :].reshape(config.n_rx, len(spans), -1)
     for j in range(config.n_rx):
-        for lo, hi in spans:
+        for (lo, hi), state in zip(spans, noise_seeds[j]):
+            if lo >= stop:
+                break
+            cut = min(hi, stop)
             _draw_unit_noise(
-                next(noise_rngs),
-                noise[j, lo:hi],
-                None if uniforms is None else uniforms[j, lo:hi],
+                _seeded(state),
+                noise[j, lo:cut],
+                None if uniforms is None else uniforms[j, lo:cut],
+                hi - lo,
             )
-    return StreamDraws(rows, normals, noise, uniforms, d_pad)
+    return StreamDraws(rows, normals, noise, uniforms, d_pad, stop)
 
 
 def stream_signal(
@@ -528,26 +555,31 @@ def stream_signal(
     profile: DelayProfile,
     channel: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The noise-free received signal of ``config``'s link over every drawn
-    block, from index 0 on, and its channel: ``(signal, taps)``, with signal
-    (n_rx, n_gen * block_len).
+    """The noise-free received signal of ``config``'s link over the drawn
+    stream, from index 0 to its ``stop``, and its channel: ``(signal,
+    taps)``, with signal (n_rx, stop - d_pad), or no samples when ``stop``
+    falls in the pre-pad.
 
     The data rows of the link's tx antennas are scaled to their power, the
     taps are built from the channel normals (unless ``channel`` pins them),
-    and each rx antenna sums its tx convolutions. A link with fewer blocks
-    than were drawn reads a prefix of this signal: each output sample of a
-    convolution reads only the samples before it.
+    and each rx antenna sums its tx convolutions of the frames cut at
+    ``stop``: each output sample of a convolution reads only the samples
+    before it, so the cut output is a prefix of the whole one, bit for bit.
+    A link with fewer blocks than were drawn reads a prefix of this signal
+    for the same reason.
     """
     n_tx, n_rx = config.n_tx, config.n_rx
     if channel is None:
         normals = draws.normals[: n_rx * n_tx * profile.n_taps * 2]
         channel = _taps(profile, normals.reshape(n_rx, n_tx, profile.n_taps, 2))
-    frames = (draws.rows[:n_tx] * block_scale(config)).reshape(n_tx, -1)
-    signal = np.empty((n_rx, frames.shape[1]), dtype=np.complex128)
-    for j in range(n_rx):
-        signal[j] = convolve_frame(frames[0], channel[j, 0])
-        for i in range(1, n_tx):
-            signal[j] += convolve_frame(frames[i], channel[j, i])
+    n = max(0, draws.stop - draws.d_pad)
+    signal = np.empty((n_rx, n), dtype=np.complex128)
+    if n:  # else the stream ends in the pre-pad
+        frames = draws.rows[:n_tx].reshape(n_tx, -1)[:, :n] * block_scale(config)
+        for j in range(n_rx):
+            signal[j] = convolve_frame(frames[0], channel[j, 0])
+            for i in range(1, n_tx):
+                signal[j] += convolve_frame(frames[i], channel[j, i])
     return signal, channel
 
 
@@ -564,7 +596,8 @@ def finish_stream(
     uniforms = None if draws.uniforms is None else draws.uniforms[:n_rx, lo:hi]
     _scale_noise(mixture, samples, uniforms)
     at = max(lo, draws.d_pad)  # the first sample under the signal
-    samples[:, at - lo :] += signal[:, at - draws.d_pad : hi - draws.d_pad]
+    if at < hi:  # else the slice lies in the pre-pad
+        samples[:, at - lo :] += signal[:, at - draws.d_pad : hi - draws.d_pad]
     return samples
 
 
@@ -595,8 +628,10 @@ def assemble_window(
         raise ConfigError(
             f"d_true={d_true} outside supported range [{-d_pad}, {n_s - 1}]"
         )
-    draws = draw_stream(config, profile, mixture, d_pad, window_seeds(config, d_pad, seed_t)[0])
-    signal, channel = stream_signal(draws, config, profile, channel)
     start = d_pad + d_true
-    samples = finish_stream(draws, mixture, signal, start, start + config.window_len)
+    stop = start + config.window_len
+    seeds = window_seeds(config, d_pad, seed_t)[0]
+    draws = draw_stream(config, profile, mixture, d_pad, seeds, stop)
+    signal, channel = stream_signal(draws, config, profile, channel)
+    samples = finish_stream(draws, mixture, signal, start, stop)
     return ReceivedWindow(samples, d_true, config, channel)

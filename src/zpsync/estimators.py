@@ -109,10 +109,23 @@ def energy_terms(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     laid out period by period in the C-contiguous ``out``
     (n_periods + 1, n_s) as :func:`_fold` reads them: zero past the
     window's end, and a window longer than ``out`` cut there, since no fold
-    reads further."""
+    reads further.
+
+    Each antenna's energies are its magnitudes squared, written into
+    ``out`` for the first antenna and added to it for the others in
+    antenna order: the sum over the antennas that ``np.sum`` takes, bit
+    for bit, without its two window-sized temporaries."""
     flat = out.reshape(-1)
     n = min(samples.shape[-1], flat.size)
-    np.sum(np.abs(samples[:, :n]) ** 2, axis=0, out=flat[:n])
+    total = flat[:n]
+    np.abs(samples[0, :n], out=total)
+    np.square(total, out=total)
+    if len(samples) > 1:
+        energy = np.empty(n)
+        for antenna in samples[1:, :n]:
+            np.abs(antenna, out=energy)
+            np.square(energy, out=energy)
+            total += energy
     flat[n:] = 0.0
     return out
 

@@ -353,9 +353,10 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.nda
 
     The run is trial-major. The window seeds of the whole chunk are derived
     at once. Each trial's substreams are drawn once, for the sweep's largest
-    link (the most tx antennas, rx antennas and blocks of any point), and
-    every point's window is finished from those draws: a smaller link's
-    draws are a prefix of them (see :func:`~zpsync.channel.draw_stream`).
+    link (the most tx antennas, rx antennas and blocks of any point), up
+    to the end of its longest window, and every point's window is finished
+    from those draws: a smaller link's draws are a prefix of them (see
+    :func:`~zpsync.channel.draw_stream`).
     Points with the same antennas share one convolved signal. Each
     estimator scores from a plan built once per point and chunk. On the
     ``pdp_alpha`` axis, where the assumed profile changes per trial, the
@@ -386,8 +387,10 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.nda
         # peak let the allocator hand the heap top back to the system
         # and fault it in again on every call
         signals = {}
-        draws = draw_stream(drawn, spec.profile, spec.mixture, d_pad, seeds[k])
         lo = d_pad + d_true[-1]
+        # the draws end where the longest window does
+        stop = lo + drawn.window_len
+        draws = draw_stream(drawn, spec.profile, spec.mixture, d_pad, seeds[k], stop)
         for point in points:
             link = (point.config.n_tx, point.config.n_rx)
             if link not in signals:

@@ -126,23 +126,93 @@ def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
 
 
 def draw_unscaled_blocks(config: SystemConfig, rngs, out: np.ndarray) -> None:
-    """:func:`draw_block_data` before its scaling pass: QAM rows are
-    gathered from the constellation and sent through one inverse DFT over
-    all rows; Gaussian-source rows draw unit normal I/Q pairs in place (one
-    generator's rows must then be contiguous together)."""
+    """:func:`draw_block_data` before its scaling pass. QAM rows take their
+    indices from :func:`qam_indices`, the values and generator states of
+    ``rng.integers(0, mod_order, size)`` on each generator's rows, gather
+    them from the constellation a slice at a time and send all rows
+    through one inverse DFT; Gaussian-source rows draw unit normal I/Q
+    pairs in place (one generator's rows must then be contiguous
+    together)."""
     if config.gaussian_source:
         for rows, rng in zip(np.split(out, len(rngs)), rngs):
             rng.standard_normal(out=rows.view(np.float64))
     else:
-        size = (len(out) // len(rngs), config.n_data)
-        draws = [rng.integers(0, config.mod_order, size=size) for rng in rngs]
-        # a lone generator's indices are gathered uncopied, and none outlive
-        # the gather: at large batches either would cost time or peak memory
-        symbols = qam_constellation(config.mod_order)[
-            draws[0] if len(draws) == 1 else np.concatenate(draws)
-        ]
-        del draws
+        if len(out) % len(rngs):
+            raise ValueError(f"{len(out)} rows do not split evenly among {len(rngs)} generators")
+        points = qam_constellation(config.mod_order)
+        # a contiguous out takes the symbols and is transformed in place
+        symbols = out if out.flags.c_contiguous else np.empty(out.shape, dtype=np.complex128)
+        flat, at = symbols.reshape(-1), 0
+        for indices in qam_indices(rngs, out.size // len(rngs), config.mod_order):
+            # every index is in range; mode="raise" would buffer the output
+            np.take(points, indices, out=flat[at : at + indices.size], mode="clip")
+            at += indices.size
         np.fft.ifft(symbols, axis=-1, out=out)
+
+
+# raw words drawn and shifted at a time: a large draw's temporaries stay
+# this small, where one batch of words and indices would cost page faults
+# and peak memory
+_RAW_WORDS = 1 << 13
+# a word's uint32 view holds its low half first
+_LOW_HALF_FIRST = np.array([1], dtype=np.uint64).view(np.uint32)[0] == 1
+
+
+def qam_indices(rngs, count: int, mod_order: int):
+    """``count`` QAM indices from each generator in turn: the values
+    ``rng.integers(0, mod_order, count)`` gives, leaving each generator in
+    the state that call leaves it in. Yields them as consecutive uint32
+    slices. Every generator must be on a 64-bit bit generator that holds
+    back the other half of a word for its next 32-bit draw, as PCG64 does.
+
+    ``mod_order`` is 2**b with b <= 32, so ``integers`` takes each index
+    by Lemire's bounded method from one 32-bit half of a 64-bit word, low
+    half first, and its rejection threshold (2**32 - 2**b) % 2**b is 0: it
+    never rejects, and the index is the top b bits of the half. A
+    generator's indices are then a half it holds on entry, the halves of
+    its raw words (``random_raw``), and for an odd rest one more word's low
+    half, its high half held back. Those two lone halves are drawn with
+    ``integers`` itself, so the held half ends as that call leaves it; the
+    generator state is read once, for the half held on entry. The words of
+    all generators are shifted together, up to ``_RAW_WORDS`` at a time.
+    """
+    shift = 32 - (mod_order.bit_length() - 1)
+    if shift < 0:
+        raise ValueError(f"mod_order {mod_order} needs more than one 32-bit half per index")
+    if not _LOW_HALF_FIRST:
+        raise NotImplementedError("raw words split into halves on little-endian hosts only")
+
+    def halves(rng):
+        bitgen = rng.bit_generator
+        held = bitgen.state.get("has_uint32")
+        if held is None:
+            raise TypeError(f"{type(bitgen).__name__} gives no 64-bit words to split")
+        held = min(held, count)
+        n_words, odd = divmod(count - held, 2)
+        # a lone half is drawn as its index, put back in the top bits
+        if held:
+            yield np.array([rng.integers(mod_order) << shift], dtype=np.uint32)
+        for first in range(0, n_words, _RAW_WORDS):
+            yield bitgen.random_raw(min(_RAW_WORDS, n_words - first)).view(np.uint32)
+        if odd:
+            yield np.array([rng.integers(mod_order) << shift], dtype=np.uint32)
+
+    pending, n_pending = [], 0  # unshifted halves
+    for rng in rngs:
+        for half in halves(rng):
+            pending.append(half)
+            n_pending += half.size
+            if n_pending >= 2 * _RAW_WORDS:
+                yield _shifted(pending, shift)
+                pending, n_pending = [], 0
+    if pending:
+        yield _shifted(pending, shift)
+
+
+def _shifted(halves: list, shift: int) -> np.ndarray:
+    """The halves joined and shifted down to their indices, in place."""
+    merged = halves[0] if len(halves) == 1 else np.concatenate(halves)
+    return np.right_shift(merged, shift, out=merged)
 
 
 def block_scale(config: SystemConfig) -> float:

@@ -16,6 +16,7 @@ from zpsync import (
     generate_block,
     scale_mixture_to_snr,
 )
+from zpsync import channel as channel_module
 from zpsync.channel import (
     STREAM_CHANNEL,
     STREAM_NOISE,
@@ -311,9 +312,10 @@ class TestConvolveFrame:
 def build_stream(config, profile, mixture, seed, d_pad):
     """The whole receive stream and channel of a trial, drawn and finished
     in the harness's steps."""
-    draws = draw_stream(config, profile, mixture, d_pad, window_seeds(config, d_pad, seed)[0])
+    end = d_pad + (config.n_blocks + 1) * config.block_len
+    draws = draw_stream(config, profile, mixture, d_pad, window_seeds(config, d_pad, seed)[0], end)
     signal, channel = stream_signal(draws, config, profile)
-    return finish_stream(draws, mixture, signal, 0, draws.noise.shape[1]), channel
+    return finish_stream(draws, mixture, signal, 0, end), channel
 
 
 def per_block_stream(config, profile, mixture, seed, d_pad):
@@ -405,9 +407,11 @@ class TestStreamDrawsPrefix:
             n_blocks=max(1, config.n_blocks - fewer_blocks),
         )
         seeds = window_seeds(config, d_pad, seed)[0]
-        draws = draw_stream(config, profile, mixture, d_pad, seeds)
+        end = d_pad + (config.n_blocks + 1) * config.block_len
+        draws = draw_stream(config, profile, mixture, d_pad, seeds, end)
         signal, channel = stream_signal(draws, link, profile)
-        stream = finish_stream(draws, mixture, signal, 0, d_pad + (link.n_blocks + 1) * link.block_len)
+        link_end = d_pad + (link.n_blocks + 1) * link.block_len
+        stream = finish_stream(draws, mixture, signal, 0, link_end)
         ref_stream, ref_channel = build_stream(link, profile, mixture, seed, d_pad)
         np.testing.assert_array_equal(channel, ref_channel)
         np.testing.assert_array_equal(stream, ref_stream)
@@ -422,12 +426,93 @@ class TestStreamDrawsPrefix:
         mixture = scale_mixture_to_snr(NoiseMixture.impulsive(), 1.0, 5.0)
         for t, d_true in ((0, -30), (1, 0), (2, 531)):
             seeds = window_seeds(drawn, 30, (2**33, t))[0]
-            draws = draw_stream(drawn, sim_profile, mixture, 30, seeds)
-            signal, _ = stream_signal(draws, link, sim_profile)
             lo = 30 + d_true
+            draws = draw_stream(drawn, sim_profile, mixture, 30, seeds, lo + drawn.window_len)
+            signal, _ = stream_signal(draws, link, sim_profile)
             window = finish_stream(draws, mixture, signal, lo, lo + link.window_len)
             ref = assemble_window(link, sim_profile, mixture, d_true, seed=(2**33, t), d_pad=30)
             np.testing.assert_array_equal(window, ref.samples)
+
+
+STOP_LINK = dict(n_data=12, n_zero=4, n_taps=3, n_blocks=3, mod_order=16)  # 16-sample blocks
+
+
+def _stop_case(antennas, d_pad, cut):
+    """A small link, the end of its stream and a stop ``cut`` past d_pad;
+    a negative cut stops in the pre-pad."""
+    config = SystemConfig(**STOP_LINK, n_tx=antennas[0], n_rx=antennas[1])
+    end = d_pad + (config.n_blocks + 1) * config.block_len
+    return config, end, d_pad + cut
+
+
+# (d_pad, cut): cuts inside the first block, on the edge after it, inside a
+# middle block and inside the last, and with a pre-pad one inside it; a cut
+# at the stream's end draws it all
+CUTS = [5, 16, 23, 57, 64]
+PAD_CUTS = [(0, cut) for cut in CUTS] + [(7, cut) for cut in CUTS + [-4]]
+ANTENNAS = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+class TestStreamStop:
+    """A stream drawn only up to ``stop`` equals the whole stream there."""
+
+    @pytest.mark.parametrize("mixture", MIXTURES, ids=["gaussian", "impulsive", "three"])
+    @pytest.mark.parametrize("antennas", ANTENNAS, ids=["1x1", "2x1", "1x2", "2x2"])
+    @pytest.mark.parametrize("d_pad, cut", PAD_CUTS)
+    def test_cut_draws_equal_full_draws(self, mixture, d_pad, antennas, cut):
+        config, end, stop = _stop_case(antennas, d_pad, cut)
+        profile = DelayProfile.exponential(1.0, 0.5, config.n_taps)
+        seeds = window_seeds(config, d_pad, (3, 8))[0]
+        full = draw_stream(config, profile, mixture, d_pad, seeds, end)
+        cut_draws = draw_stream(config, profile, mixture, d_pad, seeds, stop)
+        np.testing.assert_array_equal(cut_draws.noise, full.noise[:, :stop])
+        if mixture.n_components > 1:
+            np.testing.assert_array_equal(cut_draws.uniforms, full.uniforms[:, :stop])
+        n_drawn = cut_draws.rows.shape[1]
+        np.testing.assert_array_equal(cut_draws.rows, full.rows[:, :n_drawn])
+        full_signal, channel = stream_signal(full, config, profile)
+        signal, cut_channel = stream_signal(cut_draws, config, profile)
+        np.testing.assert_array_equal(cut_channel, channel)
+        np.testing.assert_array_equal(signal, full_signal[:, : max(0, stop - d_pad)])
+        for lo in {0, max(0, stop - config.block_len), stop - 1}:
+            window = finish_stream(cut_draws, mixture, signal, lo, stop)
+            ref = finish_stream(full, mixture, full_signal, lo, stop)
+            np.testing.assert_array_equal(window, ref)
+
+    @pytest.mark.parametrize("antennas", ANTENNAS, ids=["1x1", "2x1", "1x2", "2x2"])
+    @pytest.mark.parametrize("d_pad, cut", PAD_CUTS)
+    def test_no_generator_past_stop(self, monkeypatch, d_pad, antennas, cut):
+        # one generator for the channel, one per block that starts before
+        # stop on each tx antenna, and one per noise span that starts before
+        # it on each rx antenna: the pre-pad's and those under the blocks
+        config, end, stop = _stop_case(antennas, d_pad, cut)
+        built = []
+        real_seeded = channel_module._seeded
+        monkeypatch.setattr(channel_module, "_seeded", lambda s: built.append(s) or real_seeded(s))
+        profile = DelayProfile.exponential(1.0, 0.5, config.n_taps)
+        seeds = window_seeds(config, d_pad, (3, 8))[0]
+        draw_stream(config, profile, THREE_COMPONENTS, d_pad, seeds, stop)
+        starts = [d_pad + n * config.block_len for n in range(config.n_blocks + 1)]
+        blocks = sum(start < stop for start in starts)
+        spans = blocks + (0 < d_pad and 0 < stop)
+        assert len(built) == 1 + config.n_tx * blocks + config.n_rx * spans
+
+    def test_window_in_the_pre_pad(self):
+        # a window that ends before index 0 reads no signal block; finishing
+        # one failed with a broadcast error
+        config = SystemConfig(n_data=12, n_zero=4, n_taps=3, n_blocks=1, mod_order=16)
+        mixture = NoiseMixture.impulsive(0.9, 1.0, 100.0)
+        profile = DelayProfile.exponential(1.0, 0.5, 3)
+        stream, _ = build_stream(config, profile, mixture, (4, 1), 40)
+        window = assemble_window(config, profile, mixture, -40, (4, 1), d_pad=40)
+        np.testing.assert_array_equal(window.samples, stream[:, : config.window_len])
+
+    def test_stop_past_the_stream_rejected(self):
+        config, end, _ = _stop_case((1, 1), 0, 0)
+        profile = DelayProfile.exponential(1.0, 0.5, config.n_taps)
+        seeds = window_seeds(config, 0, (3, 8))[0]
+        with pytest.raises(ValueError, match="outside the stream"):
+            draw_stream(config, profile, MIXTURES[0], 0, seeds, end + 1)
 
 
 def _same_generator(got, expected):
@@ -489,9 +574,9 @@ class TestWindowSeeds:
         seeds = window_seeds(config, d_pad, (9,), [3, 4])
         for t, row in zip([3, 4], seeds):
             derived = assemble_window(config, profile, mixture, 7, (9, t), d_pad)
-            draws = draw_stream(config, profile, mixture, d_pad, row)
-            signal, channel = stream_signal(draws, config, profile)
             lo = d_pad + 7
+            draws = draw_stream(config, profile, mixture, d_pad, row, lo + config.window_len)
+            signal, channel = stream_signal(draws, config, profile)
             handed = finish_stream(draws, mixture, signal, lo, lo + config.window_len)
             np.testing.assert_array_equal(handed, derived.samples)
             np.testing.assert_array_equal(channel, derived.channel)

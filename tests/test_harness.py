@@ -357,13 +357,14 @@ class TestRunSweep:
 
     def test_each_trial_is_drawn_once_per_sweep(self, monkeypatch):
         # the draws are shared by every point, whatever the axis changes:
-        # one seed row per trial, in trial order, for the sweep's largest link
+        # one seed row per trial, in trial order, for the sweep's largest
+        # link, up to the end of its longest window
         real_draw = harness.draw_stream
         drawn = []
 
-        def draw(config, profile, mixture, d_pad, seeds):
-            drawn.append(seeds)
-            return real_draw(config, profile, mixture, d_pad, seeds)
+        def draw(config, profile, mixture, d_pad, seeds, stop):
+            drawn.append((seeds, stop))
+            return real_draw(config, profile, mixture, d_pad, seeds, stop)
 
         monkeypatch.setattr(harness, "draw_stream", draw)
         specs = (
@@ -376,14 +377,16 @@ class TestRunSweep:
         )
         for spec, largest in specs:
             drawn.clear()
-            run_sweep(spec)
+            report = run_sweep(spec, keep_outcomes=True)
             link = dataclasses.replace(spec.config, **largest)
             rows = harness.window_seeds(
                 link, -spec.d_min, (spec.master_seed,), range(spec.trials)
             )
             assert len(drawn) == spec.trials, spec.axis
-            for got, row in zip(drawn, rows):
+            outcomes = report.outcomes[spec.values[0]]
+            for (got, stop), row, outcome in zip(drawn, rows, outcomes):
                 np.testing.assert_array_equal(got, row, err_msg=spec.axis)
+                assert stop == -spec.d_min + outcome.d_true + link.window_len, spec.axis
 
     def test_sweep_leaves_no_reference_cycles(self):
         # what a sweep point holds (its plans, its prefix buffer) must be

@@ -24,3 +24,10 @@ def test_runs_fig7_with_no_axis_override(capsys):
     assert minor_faults.main(["fig7", "--set", "trials=2", "--calls", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["call", "0", "median"]
+
+
+def test_times_table1_moment_validation(capsys):
+    # table1 has no sweep axis: its calls are moment validations
+    assert minor_faults.main(["table1", "--set", "trials=50", "--calls", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["call", "0", "1", "median"]

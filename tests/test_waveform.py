@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zpsync import ConfigError, SystemConfig, generate_block, generate_frame, qam_constellation
-from zpsync.waveform import draw_block_data, read_iq_f64, write_iq_f64
+from zpsync.waveform import _RAW_WORDS, draw_block_data, qam_indices, read_iq_f64, write_iq_f64
 
 
 class TestSystemConfig:
@@ -167,3 +167,73 @@ def test_iq_dump_round_trip(tmp_path, rng):
     write_iq_f64(samples, path)
     assert path.stat().st_size == 64 * 16
     np.testing.assert_array_equal(read_iq_f64(path), samples)
+
+
+def _indices(rngs, count, mod_order):
+    """qam_indices' slices joined, each checked to stay small."""
+    slices = list(qam_indices(rngs, count, mod_order))
+    assert all(s.dtype == np.uint32 and s.size < 4 * _RAW_WORDS for s in slices)
+    return np.concatenate(slices)
+
+
+def _same_state(got, expected):
+    """The LCG state and the held 32-bit half; numpy leaves a stale half
+    behind once none is held, so that is compared only while one is."""
+    got, expected = got.bit_generator.state, expected.bit_generator.state
+    assert got["state"] == expected["state"]
+    assert got["has_uint32"] == expected["has_uint32"]
+    if expected["has_uint32"]:
+        assert got["uinteger"] == expected["uinteger"]
+
+
+# every mod_order a config accepts that fits a 32-bit half: 2**b, b != 3
+MOD_ORDERS = [1 << b for b in range(2, 33) if b != 3]
+
+
+class TestQamIndices:
+    """Indices from raw words equal ``Generator.integers(0, mod_order, size)``."""
+
+    @pytest.mark.parametrize("mod_order", MOD_ORDERS)
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    def test_equal_integers(self, mod_order, held):
+        for seed, count in enumerate([1, 2, 7, 512, 513]):
+            expected, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:  # an odd count of integers holds back half a word
+                expected.integers(0, 4, size=3)
+                got.integers(0, 4, size=3)
+            # twice in a row: the first draw may leave a half held
+            for _ in range(2):
+                want = expected.integers(0, mod_order, size=count)
+                np.testing.assert_array_equal(_indices([got], count, mod_order), want)
+                _same_state(got, expected)
+
+    @pytest.mark.parametrize("count", [2 * _RAW_WORDS + 1, 6 * _RAW_WORDS])
+    def test_large_counts_drawn_in_slices(self, count):
+        # past _RAW_WORDS words the words are drawn and shifted a slice at a time
+        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+        rngs[1].integers(0, 4, size=1)
+        expected = [np.random.default_rng(5), np.random.default_rng(6)]
+        expected[1].integers(0, 4, size=1)
+        want = np.concatenate([rng.integers(0, 128, size=count) for rng in expected])
+        np.testing.assert_array_equal(_indices(rngs, count, 128), want)
+        for got, exp in zip(rngs, expected):
+            _same_state(got, exp)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox,
+                                               np.random.SFC64])
+    def test_other_64_bit_generators(self, bit_generator):
+        for count in (5, 512):
+            expected = np.random.Generator(bit_generator(9))
+            got = np.random.Generator(bit_generator(9))
+            for _ in range(2):
+                want = expected.integers(0, 64, size=count)
+                np.testing.assert_array_equal(_indices([got], count, 64), want)
+            # the next draws read the held half, then fresh words
+            np.testing.assert_array_equal(got.integers(0, 2**32, size=3),
+                                          expected.integers(0, 2**32, size=3))
+            assert got.random() == expected.random()
+
+    def test_32_bit_generator_rejected(self):
+        # MT19937 gives 32-bit outputs: its raw words hold no second half
+        with pytest.raises(TypeError, match="MT19937"):
+            _indices([np.random.Generator(np.random.MT19937(1))], 4, 16)

@@ -1,11 +1,13 @@
-"""Time a preset sweep call by call and count the page faults each call takes.
+"""Time a preset's runs call by call and count the page faults each call takes.
 
 Runs ``harness.run_sweep`` in this process on a preset merged with the
-given overrides, CALLS times with master seeds 0, 1, ..., and prints one
-line per call: its wall time in milliseconds and the minor page faults the
-process took during it, read with ``resource.getrusage(RUSAGE_SELF)``
-(this process only). A warm-up call runs first and is not printed. The
-sweep runs serially, so the counts are this process's alone.
+given overrides (``harness.run_moment_validation`` for ``table1``, at the
+preset's SNR and block positions), CALLS times with master seeds 0, 1,
+..., and prints one line per call: its wall time in milliseconds and the
+minor page faults the process took during it, read with
+``resource.getrusage(RUSAGE_SELF)`` (this process only). A warm-up call
+runs first and is not printed. The sweep runs serially, so the counts are
+this process's alone.
 
 Usage: python tools/minor_faults.py PRESET [--set KEY=JSON ...] [--calls N]
 
@@ -13,6 +15,10 @@ Example, the fig5 A-ML point set at 5 dB:
 
     python tools/minor_faults.py fig5 --set 'values=["1x1","2x2"]' \\
         --set snr_db=5 --set trials=10 --calls 20
+
+and table1's moment validation at 20000 draws a call:
+
+    python tools/minor_faults.py table1 --set trials=20000 --calls 10
 """
 
 from __future__ import annotations
@@ -45,28 +51,41 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(spec: harness.ExperimentSpec, calls: int) -> list[tuple[float, int]]:
-    """``(wall ms, minor faults)`` of each of ``calls`` sweep calls of
-    ``spec``, master seeds 0, 1, ..., after one warm-up call."""
-    harness.run_sweep(dataclasses.replace(spec, master_seed=calls))
+def runner(preset: str, settings: dict):
+    """The call to time, taking a master seed: a sweep of the settings, or
+    for ``table1`` a moment validation."""
+    if preset == "table1":
+        config = presets.config_from_settings(settings)
+        profile = presets.profile_from_settings(settings, config.n_taps)
+        mixture = presets.mixture_from_settings(settings)
+        return lambda seed: harness.run_moment_validation(
+            config, profile, mixture, config.snr_db, settings["ks"], settings["trials"], seed
+        )
+    spec = presets.spec_from_settings(settings, master_seed=0)
+    return lambda seed: harness.run_sweep(dataclasses.replace(spec, master_seed=seed))
+
+
+def measure(run, calls: int) -> list[tuple[float, int]]:
+    """``(wall ms, minor faults)`` of each of ``calls`` calls ``run(seed)``,
+    master seeds 0, 1, ..., after one warm-up call."""
+    run(calls)
     rows = []
     for seed in range(calls):
-        run = dataclasses.replace(spec, master_seed=seed)
         faults, t0 = _minor_faults(), time.perf_counter()
-        harness.run_sweep(run)
+        run(seed)
         rows.append(((time.perf_counter() - t0) * 1e3, _minor_faults() - faults))
     return rows
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Wall time and minor faults per sweep call.")
+    parser = argparse.ArgumentParser(description="Wall time and minor faults per call.")
     parser.add_argument("preset", choices=presets.PRESET_NAMES)
     parser.add_argument("--set", dest="overrides", type=_override, action="append", default=[],
                         metavar="KEY=JSON", help="override one preset key (JSON value)")
     parser.add_argument("--calls", type=int, default=10, help="timed calls (default 10)")
     args = parser.parse_args(argv)
     settings = presets.merge_settings(presets.load_preset(args.preset), dict(args.overrides))
-    rows = measure(presets.spec_from_settings(settings, master_seed=0), args.calls)
+    rows = measure(runner(args.preset, settings), args.calls)
     print("call  wall_ms  minor_faults")
     for call, (ms, faults) in enumerate(rows):
         print(f"{call:4d}  {ms:7.1f}  {faults:12d}")
