@@ -33,9 +33,11 @@ What an estimator reads besides the window depends only on the sweep point,
 so it is built once into a frozen plan (:func:`aml_plan`, :func:`wed_plan`,
 :func:`ed_plan`): the run offsets and weights, and A-ML's class split with
 its gather layout. The public ``*_estimate`` calls build a plan per call; the
-harness builds one per point and chunk of trials. WED and ED plans also
-score a group of windows' per-sample energies at once
-(:func:`energy_scores`), bit-identical to scoring each window on its own.
+harness builds one per point and chunk of trials. Each kernel has one entry
+that public calls and sweeps share: ``AmlPlan.scores`` for A-ML, and
+:func:`energy_scores` for WED and ED, which scores a group of windows'
+per-sample energies at once, a public call being a group of one,
+bit-identical to scoring each window on its own.
 
 A-ML's per-window buffers (the table laid out by period, the squares, the
 mixture accumulators, the sparse cells' gather and fold) are scratch:
@@ -301,10 +303,10 @@ def _dense_rows(
     n_s = vp.block_len
     runs = dense[vp.run_class]
     # each dense run's bounds per hypothesis, as indices into the flattened
-    # fold, whose row i holds class classes[i]: row i's columns start at
-    # 3 * i * n_s, and its column x + n_s is x
-    start = (dense.cumsum()[vp.run_class[runs]] * 3 - 2) * n_s - hyp.values[:, None]
-    lo, hi = start + vp.run_edges[:-1][runs], start + vp.run_edges[1:][runs]
+    # fold, whose row i holds class classes[i] from column 3 * i * n_s on,
+    # at the columns _run_offsets gives within a row
+    row = 3 * n_s * (dense.cumsum() - 1)[vp.run_class[runs]]
+    lo, hi = (bound[:, runs] + row for bound in _run_offsets(vp.run_edges, n_s, hyp))
     # stream indices below 0 are class 0: the first -d samples when d < 0
     below = np.maximum(-hyp.values, 0) if hyp.d_min < 0 and dense[0] else None
 
@@ -313,7 +315,7 @@ def _dense_rows(
         # whole periods, zero past the window, which the fold reads as it is
         terms = scratch(work, "terms", (classes.size, n_periods + 1, n_s))
         flat = terms.reshape(classes.size, -1)
-        loglik_class_table(samples, vp, mixture, classes, work=work, table=flat[:, :m])
+        loglik_class_table(samples, vp, mixture, classes, flat[:, :m], work)
         flat[:, m:] = 0.0
         folded = _fold(terms, n_periods).ravel()
         total = (folded[hi] - folded[lo]).sum(axis=1)
@@ -380,9 +382,10 @@ def _sparse_cells(
 class EnergyPlan:
     """What WED or ED reads besides a window's per-sample energies at one
     sweep point: the fold's period count, the fold columns ``lo`` and ``hi``
-    that bound each run per hypothesis, and each run's weight. Every method
-    takes energies laid out as :func:`energy_terms` lays them out, with any
-    leading shape: one window, or a group of them, one per row."""
+    that bound each run per hypothesis, and each run's weight. Windows are
+    scored through :func:`energy_scores`; ``gather`` reads the fold of their
+    energies with any leading shape: one window, or a group of them, one
+    per row."""
 
     tag: str
     hyp: HypothesisSet
@@ -402,20 +405,18 @@ class EnergyPlan:
         # order than over one window's, so copy to C order first
         return np.subtract(folded[..., self.hi], folded[..., self.lo], order="C") @ self.weights
 
-    def scores(self, terms: np.ndarray) -> np.ndarray:
-        return self.gather(_fold(terms, self.n_periods))
-
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return _best(scores, self.hyp, maximize=False, tag=self.tag)
 
 
 def energy_scores(plans, terms: np.ndarray) -> np.ndarray:
     """Scores of a group of windows, row ``k`` from the energies
-    ``terms[k]`` under ``plans[k]``, equal to each window's own
-    ``plans[k].scores``. The plans differ only in their runs and weights
-    (one sweep point, per-trial profiles), so the group shares one fold and,
-    when all rows share a plan, one gather. ``terms`` may hold more periods
-    than the plans fold."""
+    ``terms[k]`` under ``plans[k]``, bit for bit the scores of that window
+    alone: a group of one, as the public calls score.
+    The plans differ only in their runs and weights (one sweep point,
+    per-trial profiles), so the group shares one fold and, when all rows
+    share a plan, one gather. ``terms`` may hold more periods than the
+    plans fold."""
     plan = plans[0]
     folded = _fold(terms, plan.n_periods)
     if all(p is plan for p in plans):
@@ -451,7 +452,7 @@ def wed_estimate(
     """
     plan = wed_plan(vp, noise_var, hyp, window.length)
     check_finite(window.samples)
-    return _estimate(plan, plan.scores(plan.terms(window.samples)))
+    return _estimate(plan, energy_scores([plan], plan.terms(window.samples)))
 
 
 def ed_plan(cfg: SystemConfig, hyp: HypothesisSet, m: int) -> EnergyPlan:
@@ -481,4 +482,4 @@ def ed_estimate(
     """
     plan = ed_plan(window.config, hyp, window.length)
     check_finite(window.samples)
-    return _estimate(plan, plan.scores(plan.terms(window.samples)))
+    return _estimate(plan, energy_scores([plan], plan.terms(window.samples)))

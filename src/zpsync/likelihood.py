@@ -189,29 +189,27 @@ def loglik_class_table(
     y: np.ndarray,
     vp: VarianceProfile,
     mixture: NoiseMixture,
-    classes: np.ndarray | None = None,
+    classes: np.ndarray,
+    table: np.ndarray,
     work: dict | None = None,
-    table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-sample log densities against distinct profile variances.
+    """Per-sample log densities against some of the profile's variances,
+    written into ``table`` and returned.
 
-    Returns (n_classes, m): row c holds log p(y[k] | variance class c) summed
-    over antennas. ``classes`` selects a subset of class ids, in the order
-    given, and row i is then class ``classes[i]``; by default every class of
-    ``vp`` gets a row. The A-ML estimator scores every hypothesis from
-    this table's rows added up over the stream's periods along the
-    profile's long constant-class runs, so the transcendentals are paid
-    once per window, not once per hypothesis; classes whose runs reach few
-    cells go through :func:`fold_cells` instead.
+    Row i of ``table``, an (n_classes, m) array or view, receives
+    log p(y[k] | variance class ``classes[i]``) summed over antennas. The
+    A-ML estimator scores every hypothesis from this table's rows added up
+    over the stream's periods along the profile's long constant-class runs,
+    so the transcendentals are paid once per window, not once per
+    hypothesis; classes whose runs reach few cells go through
+    :func:`fold_cells` instead.
 
     Works with in-place ufuncs on small scratch buffers: the only large
-    allocation is the table itself, which keeps long-window timing free of
-    allocator noise. ``table``, an (n_classes, m) array or view, takes the
-    rows in place of a new table. Given a workspace ``work`` (see
-    :func:`scratch`), the squares, the mixture accumulators and, without
-    ``table``, the table come from it; they are then valid until the
-    workspace's next use. Mixtures go class by class on window-sized
-    buffers; single-component noise groups classes on short windows (see
+    array is the table, which the caller provides. Given a workspace
+    ``work`` (see :func:`scratch`), the squares and the mixture
+    accumulators come from it; they are then valid until the workspace's
+    next use. Mixtures go class by class on window-sized buffers;
+    single-component noise groups classes on short windows (see
     :func:`_single_component_table`). A row's cells do not depend on which
     other classes are selected.
 
@@ -224,46 +222,20 @@ def loglik_class_table(
     ``log_b_function`` keeps ``np.logaddexp`` as the reference.
     """
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.complex128)
-    values = vp.class_values if classes is None else vp.class_values[classes]
     n_rx, m = y.shape
     # I and Q interleaved: one ufunc call covers both parts of every antenna
     z2 = np.square(y.view(np.float64), out=scratch(work, "z2", (n_rx, 2 * m)))
-    scales, offsets = _component_constants(values, mixture)
-    if table is None:
-        table = scratch(work, "table", (values.size, m))
+    scales, offsets = _component_constants(vp.class_values[classes], mixture)
     if mixture.n_components == 1:
         return _single_component_table(z2, scales, offsets, table)
     acc, term, gap = (scratch(work, name, z2.shape) for name in ("acc", "term", "gap"))
-    parts = [acc[r, k::2] for r in range(n_rx) for k in (0, 1)]
     # per (class, component) constants as Python floats: scalar numpy
     # arithmetic inside the loop would add a fixed cost per call that is a
     # large share of a short window
     for t_row, scale, offset in zip(table, scales.tolist(), offsets.tolist()):
         _fold_components(z2, scale, offset, acc, term, gap)
-        _sum_parts(parts, t_row)
+        _sum_parts(acc, t_row)
     return table
-
-
-def loglik_cells(
-    y: np.ndarray,
-    positions: np.ndarray,
-    cell_class: np.ndarray,
-    vp: VarianceProfile,
-    mixture: NoiseMixture,
-) -> np.ndarray:
-    """Log densities at gathered window positions, one variance class per column.
-
-    ``positions`` is (..., n_cells) of sample indices into ``y``'s last axis
-    and ``cell_class`` (n_cells,) the class id of each column. Returns an
-    array shaped like ``positions`` whose cell holds
-    log p(y[:, positions[..., i]] | class cell_class[i]) summed over
-    antennas: :func:`fold_cells` with the constants of :func:`cell_constants`.
-    Positions outside ``[0, m)`` raise :class:`ConfigError`.
-    """
-    positions, m = np.asarray(positions), np.shape(y)[-1]
-    if positions.size and not 0 <= positions.min() <= positions.max() < m:
-        raise ConfigError(f"cell positions must lie in [0, {m})")
-    return fold_cells(y, positions, *cell_constants(cell_class, vp, mixture))
 
 
 def cell_constants(cell_class: np.ndarray, vp: VarianceProfile, mixture: NoiseMixture):
@@ -282,12 +254,19 @@ def fold_cells(
     offsets: np.ndarray,
     work: dict | None = None,
 ) -> np.ndarray:
-    """The log densities of :func:`loglik_cells`, from the constants of
-    :func:`cell_constants`. The components are folded as in
-    :func:`loglik_class_table`, with each column's constants broadcast along
-    the leading axes; the scratch buffers are the size of the gather, not of
-    the window, and come from the workspace ``work`` when one is given (see
-    :func:`scratch`). ``positions`` must lie in ``[0, m)``."""
+    """Log densities at gathered window positions, one variance class per
+    column.
+
+    ``positions`` is (..., n_cells) of sample indices into ``y``'s last
+    axis, each in ``[0, m)``, and ``scales`` and ``offsets`` are
+    :func:`cell_constants` of the columns' classes. Returns an array shaped
+    like ``positions`` whose cell holds log p(y[:, positions[..., i]] |
+    column i's class) summed over antennas, bit-equal to that class's
+    entry of :func:`loglik_class_table`. The components are folded as
+    there, with each column's constants broadcast along the leading axes;
+    the scratch buffers are the size of the gather, not of the window, and
+    come from the workspace ``work`` when one is given (see
+    :func:`scratch`)."""
     y = np.asarray(np.atleast_2d(y), dtype=np.complex128)
     n_rx = y.shape[0]
     # mode="clip" lets take write straight into the buffer: the default
@@ -302,8 +281,7 @@ def fold_cells(
     # two components that term overwrites it: one buffer fewer
     term = z2 if len(scales) == 2 else scratch(work, "term", z2.shape)
     _fold_components(z2, scales, offsets, acc, term, scratch(work, "gap", z2.shape))
-    parts = [acc[r, ..., k::2] for r in range(n_rx) for k in (0, 1)]
-    return _sum_parts(parts, scratch(work, "cells", positions.shape))
+    return _sum_parts(acc, scratch(work, "cells", positions.shape))
 
 
 def _component_constants(values: np.ndarray, mixture: NoiseMixture):
@@ -338,18 +316,20 @@ def _fold_components(z2, scales, offsets, acc, term, gap) -> None:
         acc += gap
 
 
-def _sum_parts(parts: list, out: np.ndarray) -> np.ndarray:
-    """``out = sum(parts)``, in place and in the order given.
+def _sum_parts(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = the sum of the I/Q parts of ``terms``, in place.
 
-    ``parts`` are the views of one sample's I/Q log-density terms, listed
-    antenna by antenna, I then Q. Every table row and every gathered cell
-    is summed through here in that one order, which keeps a cell of
+    ``terms`` (n_rx, ..., 2 * n) holds one log-density term per I/Q part,
+    I and Q interleaved along the last axis; ``out`` is (..., n). The parts
+    are added antenna by antenna, I then Q. Every table row and every
+    gathered cell is summed here in that one order, which keeps a cell of
     :func:`fold_cells` bit-equal to its entry in
     :func:`loglik_class_table`.
     """
-    np.add(parts[0], parts[1], out=out)
-    for part in parts[2:]:
-        out += part
+    np.add(terms[0, ..., 0::2], terms[0, ..., 1::2], out=out)
+    for antenna in terms[1:]:
+        out += antenna[..., 0::2]
+        out += antenna[..., 1::2]
     return out
 
 
@@ -379,6 +359,5 @@ def _single_component_table(
         block = acc[: hi - lo]
         np.multiply(flat, scales[lo:hi], out=block)
         block += offsets[lo:hi]
-        antennas = block.reshape(hi - lo, n_rx, width)
-        _sum_parts([antennas[:, r, k::2] for r in range(n_rx) for k in (0, 1)], table[lo:hi])
+        _sum_parts(block.reshape(hi - lo, n_rx, width).transpose(1, 0, 2), table[lo:hi])
     return table

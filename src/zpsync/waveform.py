@@ -80,6 +80,9 @@ def _validate_mod_order(m: int) -> None:
     b = int(m).bit_length() - 1
     if m < 4 or (1 << b) != m:
         raise ConfigError(f"mod_order must be a power of two >= 4, got {m}")
+    # qam_constellation builds the whole table, 16 bytes a point (1 MiB here)
+    if m > 1 << 16:
+        raise ConfigError(f"mod_order must be at most 65536, got {m}")
     if m == 8:
         raise ConfigError("mod_order 8 has no square or cross constellation; use 4 or 16")
 

@@ -414,6 +414,7 @@ _REJECTED_CONFIGS = {
     ("simulate", "fig2", "var_impulse = nan"): "component variances must be finite",
     ("simulate", "fig2", "var_impulse = inf"): "component variances must be finite",
     ("simulate", "fig2", "signal_power = inf"): "signal_power must be finite and positive",
+    ("simulate", "fig4", "mod_order = 131072"): "mod_order must be at most 65536",
     ("simulate", "fig2", "n_taps = 4\npdp_powers = [nan, 1.0, 1.0, 1.0]"): (
         "tap powers must be finite"
     ),

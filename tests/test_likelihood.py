@@ -18,11 +18,19 @@ from zpsync import (
     window_loglik,
 )
 from zpsync.channel import draw_channel, draw_noise
-from zpsync.likelihood import VarianceProfile, loglik_cells, loglik_class_table
+from zpsync.likelihood import VarianceProfile, cell_constants, fold_cells, loglik_class_table
 from zpsync.waveform import generate_block
 
 GAUSS2 = NoiseMixture.gaussian(2.0)
 IMPULSIVE = NoiseMixture(np.array([0.99, 0.01]), np.array([1.0, 100.0]))
+
+
+def class_table(y, vp, mixture, classes=None):
+    """``loglik_class_table`` into a new table: rows for ``classes``, every
+    class of ``vp`` by default."""
+    if classes is None:
+        classes = np.arange(vp.class_values.size)
+    return loglik_class_table(y, vp, mixture, classes, np.empty((len(classes), np.shape(y)[-1])))
 
 
 def gaussian_pdf(x, var):
@@ -268,7 +276,7 @@ class TestClassTable:
         vp = variance_profile_h0(paper_config, sim_profile)
         m = paper_config.window_len
         y = (rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m))) * 0.6
-        table = loglik_class_table(y, vp, IMPULSIVE)
+        table = class_table(y, vp, IMPULSIVE)
         for d in (-30, -1, 0, 17, 30):
             gathered = table[vp.window_classes(d, m), np.arange(m)].sum()
             direct = window_loglik(y, d, vp, IMPULSIVE).loglik
@@ -308,7 +316,7 @@ class TestClassTableMixture:
     @given(mixture_cases())
     def test_rows_equal_summed_log_p(self, case):
         vp, mixture, y = case
-        table = loglik_class_table(y, vp, mixture)
+        table = class_table(y, vp, mixture)
         assert table.shape == (vp.class_values.size, y.shape[1])
         assert np.all(np.isfinite(table))
         for row, kappa in zip(table, vp.class_values):
@@ -319,30 +327,23 @@ class TestClassTableMixture:
 
 class TestClassSubsetAndCells:
     """A table restricted to some classes and the gathered cells of
-    ``loglik_cells`` both read the same bits as the full table."""
+    ``fold_cells`` both read the same bits as the full table."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(mixture_cases(), st.integers(0, 2**32 - 1))
     def test_subset_rows_and_cells_match_full_table(self, case, seed):
         vp, mixture, y = case
         rng = np.random.default_rng(seed)
-        full = loglik_class_table(y, vp, mixture)
+        full = class_table(y, vp, mixture)
         classes = np.flatnonzero(rng.random(vp.class_values.size) < 0.5)
-        np.testing.assert_array_equal(loglik_class_table(y, vp, mixture, classes), full[classes])
+        np.testing.assert_array_equal(class_table(y, vp, mixture, classes), full[classes])
         n_cells = int(rng.integers(1, 30))
         positions = rng.integers(0, y.shape[1], size=(int(rng.integers(1, 4)), n_cells))
         cell_class = rng.integers(0, vp.class_values.size, size=n_cells)
-        cells = loglik_cells(y, positions, cell_class, vp, mixture)
+        cells = fold_cells(y, positions, *cell_constants(cell_class, vp, mixture))
         assert cells.shape == positions.shape
         # bitwise, so dense and sparse A-ML read the same log densities
         np.testing.assert_array_equal(cells, full[cell_class[None, :], positions])
-
-    @pytest.mark.parametrize("position", [-1, 40])
-    def test_positions_outside_window_rejected(self, position):
-        vp = VarianceProfile(np.array([0.0, 0.5, 1.0, 0.5]))
-        y = np.ones((1, 40), dtype=np.complex128)
-        with pytest.raises(ConfigError, match="cell positions"):
-            loglik_cells(y, np.array([[0, position]]), np.array([1, 2]), vp, IMPULSIVE)
 
 
 class TestSingleComponentTable:
@@ -357,7 +358,7 @@ class TestSingleComponentTable:
         y = (rng.standard_normal((n_rx, m)) + 1j * rng.standard_normal((n_rx, m))) * 2.0
         vp = VarianceProfile(np.linspace(0.0, 3.0, 19))
         mixture = NoiseMixture.gaussian(0.3)
-        table = loglik_class_table(y, vp, mixture)
+        table = class_table(y, vp, mixture)
         var = vp.class_values[:, None] + mixture.variances / 2.0
         scales = (-0.5 / var)[:, 0]
         offsets = (np.log(mixture.probs) - 0.5 * np.log(2.0 * np.pi * var))[:, 0]

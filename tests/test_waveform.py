@@ -28,6 +28,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("mod_order", [2**17, 2**40])
+    def test_mod_order_above_limit_rejected(self, mod_order):
+        # accepted before, and the constellation table of 2**b points was
+        # then built in full: 2**33 asked for two 72 GiB grids
+        with pytest.raises(ConfigError, match="mod_order must be at most 65536"):
+            SystemConfig(mod_order=mod_order)
+
     @pytest.mark.parametrize("power", [float("inf"), float("nan")])
     def test_non_finite_signal_power_rejected(self, power):
         # an infinite signal power used to pass and fail mid-run
@@ -186,7 +193,8 @@ def _same_state(got, expected):
         assert got["uinteger"] == expected["uinteger"]
 
 
-# every mod_order a config accepts that fits a 32-bit half: 2**b, b != 3
+# every power of two that fits a 32-bit half, b != 3: past the orders a
+# config accepts (up to 2**16), up to the largest qam_indices handles
 MOD_ORDERS = [1 << b for b in range(2, 33) if b != 3]
 
 
