@@ -41,30 +41,19 @@ STREAM_DELAY = 4
 STREAM_PDP_ERROR = 5
 
 
-_WORD = 1 << 32
-
-
 def substream(*entropy: int) -> np.random.Generator:
     """Independent generator derived from an entropy path.
 
     Streams for distinct paths are statistically independent and do not
     depend on evaluation order, so parallel trial workers can derive their
-    own draws from (master_seed, trial_index, purpose, ...) tuples.
-
-    A path of plain ints below 2**32 is handed to ``SeedSequence`` as one
-    uint32 array, which it reads as the same words as the list but without
-    converting each int; any other path goes in as a list. This is
+    own draws from (master_seed, trial_index, purpose, ...) tuples. This is
     numpy's own derivation, the oracle that :func:`window_seeds` matches.
     """
-    if all(type(w) is int and 0 <= w < _WORD for w in entropy):
-        words = np.array(entropy, dtype=np.uint32)
-    else:
-        words = list(entropy)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
 # SeedSequence's hash constants; its entropy pool holds 4 uint32 words
-_MASK = _WORD - 1
+_MASK = (1 << 32) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED

@@ -64,7 +64,7 @@ from .likelihood import (
     loglik_class_table,
     scratch,
 )
-from .waveform import ConfigError, SystemConfig
+from .waveform import ConfigError, SystemConfig, _check_ints
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ class HypothesisSet:
     d_max: int
 
     def __post_init__(self) -> None:
+        _check_ints(self, ("d_min", "d_max"))
         if self.d_min > self.d_max:
             raise ConfigError(f"empty hypothesis set [{self.d_min}, {self.d_max}]")
 

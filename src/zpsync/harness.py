@@ -57,11 +57,7 @@ from .estimators import (
     wed_plan,
 )
 from .likelihood import b_function, scratch, variance_profile_h0
-from .waveform import ConfigError, SystemConfig, draw_block_data
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .waveform import ConfigError, SystemConfig, _is_int, block_scale, draw_unscaled_blocks
 
 
 def _is_real(value) -> bool:
@@ -281,7 +277,8 @@ _SEED_GROUP = 64
 
 class _PointTrials:
     """One sweep point's share of a chunk of trials: its link, its scoring
-    plans and the chunk's A-ML estimates and per-sample energies so far."""
+    plans and the chunk's A-ML scores and per-sample energies so far, from
+    which every estimator decides the chunk at its end."""
 
     def __init__(
         self, spec: ExperimentSpec, p: int, hyp: HypothesisSet, n_trials: int, work: dict
@@ -304,8 +301,9 @@ class _PointTrials:
             # every period some energy plan folds; ED folds fewer than WED
             n_periods = max(self.plans[est].n_periods for est in self.energy)
             self.energies = scratch(work, f"energy{p}", (n_trials, n_periods + 1, config.block_len))
+        # A-ML's scores, one row per trial, kept until the chunk is decided
+        self.aml = scratch(work, f"aml{p}", (n_trials, hyp.size)) if "aml" in self.plans else None
         self.elapsed = dict.fromkeys(spec.estimators, 0)
-        self.d_hat = {est: [] for est in spec.estimators}
 
     def score(self, k: int, samples: np.ndarray, signs: np.ndarray | None) -> None:
         """Score the window of the chunk's trial ``k``; ``signs`` are the
@@ -324,8 +322,7 @@ class _PointTrials:
         check_finite(samples)
         if "aml" in plans:
             t0 = time.perf_counter_ns()
-            plan = plans["aml"]
-            self.d_hat["aml"].append(plan.decide(plan.scores(samples, self.work)))
+            self.aml[k] = plans["aml"].scores(samples, self.work)
             self.elapsed["aml"] += time.perf_counter_ns() - t0
         if self.energy:
             t0 = time.perf_counter_ns()
@@ -335,13 +332,16 @@ class _PointTrials:
                 self.elapsed[est] += shared_ns
 
     def decisions(self) -> tuple[np.ndarray, list[int]]:
-        """Score WED and ED over the chunk. Return the chunk's decisions, one
-        row per estimator of the spec, and its total ns per estimator."""
+        """Score WED and ED over the chunk, then decide every estimator from
+        its score rows. Return the chunk's decisions, one row per estimator
+        of the spec, and its total ns of scoring per estimator."""
+        scores = {"aml": self.aml}
         for est, plans in self.energy.items():
             t0 = time.perf_counter_ns()
-            self.d_hat[est] = plans[0].decide(energy_scores(plans, self.energies))
+            scores[est] = energy_scores(plans, self.energies)
             self.elapsed[est] += time.perf_counter_ns() - t0
-        return np.array(list(self.d_hat.values())), list(self.elapsed.values())
+        d_hat = [self.plans[est].decide(scores[est]) for est in self.spec.estimators]
+        return np.array(d_hat), list(self.elapsed.values())
 
 
 def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.ndarray, ...]:
@@ -364,10 +364,13 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.nda
     point; only WED's is kept until the chunk is scored. A-ML scores each
     window as it is built, every point into the workspace: its buffers grow
     to the largest point's and are then reused, where fresh ones would be
-    faulted in again on every window. WED and ED keep only each window's
-    per-sample energies, in one workspace buffer per point that runs them,
-    and score the whole chunk at its end. A serial sweep hands every chunk
-    the same workspace, so no chunk after the first faults them in.
+    faulted in again on every window. It keeps each window's scores in a
+    row of one workspace buffer per point. WED and ED keep only each
+    window's per-sample energies, in one workspace buffer per point that
+    runs them, and score the whole chunk at its end. Every estimator is
+    then decided once per chunk, from its score rows. A serial sweep hands
+    every chunk the same workspace, so no chunk after the first faults
+    these buffers in.
     """
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
@@ -499,9 +502,10 @@ def _batch_received_samples(
 
     The batch's data blocks are drawn ``_DATA_ROWS`` at a time into one row
     buffer, and only the data positions ``k - u`` that the tap sums read are
-    kept. Rows drawn in chunks equal rows drawn in one call, so the samples
-    do not depend on the chunk size; every block is drawn even when no
-    position is kept, so the taps and noise come from the same draws."""
+    kept; they are scaled once the batch is drawn. Rows drawn in chunks
+    equal rows drawn in one call, so the samples do not depend on the chunk
+    size; every block is drawn even when no position is kept, so the taps
+    and noise come from the same draws."""
     positions = ks[:, None] - np.arange(config.n_taps)
     cols = np.unique(positions[(positions >= 0) & (positions < config.n_data)])
     data = np.empty((batch, cols.size), dtype=np.complex128)
@@ -509,8 +513,9 @@ def _batch_received_samples(
     one_tx = dataclasses.replace(config, n_tx=1)
     for start in range(0, batch, len(rows)):
         chunk = rows[: batch - start]
-        draw_block_data(one_tx, [rng], chunk)
+        draw_unscaled_blocks(one_tx, [rng], chunk)
         np.take(chunk, cols, axis=1, out=data[start : start + len(chunk)])
+    data *= block_scale(one_tx)
     taps = draw_channel(profile, 1, batch, rng)[:, 0]
     out = np.empty((batch, ks.size), dtype=np.complex128)
     for col, k in enumerate(ks):
@@ -557,7 +562,7 @@ def run_moment_validation(
     Uses the true QAM + inverse-DFT waveform (or the Gaussian oracle source
     if the config requests it), one independent block per trial at zero
     offset, drawn with the window generator's own helpers
-    (``draw_block_data``, ``draw_channel``, ``draw_noise``) from one
+    (``draw_unscaled_blocks``, ``draw_channel``, ``draw_noise``) from one
     generator, ``_BATCH`` trials at a time. ``_BATCH`` fixes the draw order
     (a batch's data blocks, then its taps, then its noise), so the results
     depend on it; the memory hardly does, since the blocks go through a

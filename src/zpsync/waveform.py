@@ -10,7 +10,8 @@ waveforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,18 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Raised for dimensionally or statistically invalid system parameters."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_ints(obj, names) -> None:
+    """Refuse any of the fields ``names`` of ``obj`` that is not an int (a
+    bool included), with a :class:`ConfigError` that names it."""
+    for name in names:
+        if not _is_int(getattr(obj, name)):
+            raise ConfigError(f"{name} must be an int, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,8 @@ class SystemConfig:
     gaussian_source: bool = False
 
     def __post_init__(self) -> None:
+        # the fields annotated int, which the preset loader types alike
+        _check_ints(self, [f.name for f in fields(self) if f.type == "int"])
         if self.n_data < 1 or self.n_zero < 0 or self.n_taps < 1:
             raise ConfigError("n_data, n_taps must be >= 1 and n_zero >= 0")
         if self.n_zero < self.n_taps:
@@ -114,28 +129,20 @@ def qam_constellation(mod_order: int) -> np.ndarray:
     return points
 
 
-def draw_block_data(config: SystemConfig, rngs, out: np.ndarray) -> None:
-    """Write the data samples of blocks into the rows of ``out``.
+def draw_unscaled_blocks(config: SystemConfig, rngs, out: np.ndarray) -> None:
+    """Write the data samples of blocks, before :func:`block_scale`, into
+    the rows of ``out``.
 
     ``out`` has one row of ``n_data`` samples per block (the last axis must
     be contiguous, e.g. the data columns of a zeroed frame). Its rows are
     split evenly among ``rngs`` in order, and each generator draws its rows
     one after another, so k rows from one generator equal k one-row calls
-    on it. The rows are drawn by :func:`draw_unscaled_blocks` and then
-    multiplied by :func:`block_scale`.
-    """
-    draw_unscaled_blocks(config, rngs, out)
-    out *= block_scale(config)
-
-
-def draw_unscaled_blocks(config: SystemConfig, rngs, out: np.ndarray) -> None:
-    """:func:`draw_block_data` before its scaling pass. QAM rows take their
-    indices from :func:`qam_indices`, the values and generator states of
-    ``rng.integers(0, mod_order, size)`` on each generator's rows, gather
-    them from the constellation a slice at a time and send all rows
-    through one inverse DFT; Gaussian-source rows draw unit normal I/Q
-    pairs in place (one generator's rows must then be contiguous
-    together)."""
+    on it. QAM rows take their indices from :func:`qam_indices`, the values
+    and generator states of ``rng.integers(0, mod_order, size)`` on each
+    generator's rows, gather them from the constellation a slice at a time
+    and send all rows through one inverse DFT; Gaussian-source rows draw
+    unit normal I/Q pairs in place (one generator's rows must then be
+    contiguous together)."""
     if config.gaussian_source:
         for rows, rng in zip(np.split(out, len(rngs)), rngs):
             rng.standard_normal(out=rows.view(np.float64))
@@ -235,11 +242,13 @@ def generate_block(config: SystemConfig, rng: np.random.Generator) -> np.ndarray
     exactly zero.
 
     Data samples are an inverse DFT of i.i.d. QAM points (see
-    :func:`draw_block_data`); the zero pad is exact. Every transmit antenna
-    draws its blocks alike, at power signal_power / n_tx.
+    :func:`draw_unscaled_blocks`), scaled by :func:`block_scale`; the zero
+    pad is exact. Every transmit antenna draws its blocks alike, at power
+    signal_power / n_tx.
     """
     samples = np.zeros(config.block_len, dtype=np.complex128)
-    draw_block_data(config, [rng], samples[None, : config.n_data])
+    draw_unscaled_blocks(config, [rng], samples[None, : config.n_data])
+    samples *= block_scale(config)  # the zero pad stays exactly zero
     return samples
 
 

@@ -55,6 +55,15 @@ class TestHypothesisSet:
     def test_values(self):
         np.testing.assert_array_equal(HypothesisSet(-2, 1).values, [-2, -1, 0, 1])
 
+    @pytest.mark.parametrize("bounds", [(0.5, 3), (-30.0, 30), (True, 3)])
+    def test_non_int_bounds_rejected(self, bounds):
+        # (-30.0, 30) used to pass and fail in aml_estimate with an IndexError
+        with pytest.raises(ConfigError, match="d_min must be an int"):
+            HypothesisSet(*bounds)
+
+    def test_numpy_int_bounds_accepted(self):
+        assert HypothesisSet(np.int64(-2), np.int64(1)).size == 4
+
 
 class TestAmlEstimate:
     def test_high_snr_recovers_offset(self, paper_config, sim_profile, impulsive_mixture):

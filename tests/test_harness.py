@@ -19,6 +19,7 @@ from zpsync import (
     SystemConfig,
     aml_estimate,
     ed_estimate,
+    estimators,
     harness,
     qam_constellation,
     scale_mixture_to_snr,
@@ -504,7 +505,7 @@ class TestRunSweep:
             mixture=NoiseMixture.gaussian(), d_min=0, d_max=8,
         ))
         assert len(buffers) == 3
-        assert {"energy0", "energy1", "terms"} <= buffers[0].keys()
+        assert {"energy0", "energy1", "aml0", "aml1", "terms"} <= buffers[0].keys()
         for later in buffers[1:]:
             assert later.keys() == buffers[0].keys()
             assert all(later[name] is buf for name, buf in buffers[0].items())
@@ -512,6 +513,24 @@ class TestRunSweep:
         buffers.clear()
         run_sweep(small_spec(trials=3, values=(6.0, 12.0)))
         assert not any(name.startswith("energy") for name in buffers[0])
+
+    def test_each_estimator_decides_once_per_chunk(self, monkeypatch):
+        # A-ML used to decide every window as it was scored: 18 calls here,
+        # 12 of them on one window's scores
+        real_best = estimators._best
+        shapes = []
+
+        def best(scores, *args, **kwargs):
+            shapes.append(scores.shape)
+            return real_best(scores, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_best", best)
+        monkeypatch.setattr(harness, "_SEED_GROUP", 5)
+        run_sweep(small_spec(
+            trials=12, estimators=("aml", "wed", "ed"), mixture=NoiseMixture.gaussian(),
+            d_min=0, d_max=8,
+        ))
+        assert shapes == [(5, 9)] * 3 + [(5, 9)] * 3 + [(2, 9)] * 3
 
     def test_group_shares_one_timing_mapping(self, monkeypatch):
         # each trial of a group carries the group's mean time per estimator,

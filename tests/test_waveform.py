@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from zpsync import ConfigError, SystemConfig, generate_block, generate_frame, qam_constellation
-from zpsync.waveform import _RAW_WORDS, draw_block_data, qam_indices, read_iq_f64, write_iq_f64
+from zpsync.waveform import (
+    _RAW_WORDS,
+    draw_unscaled_blocks,
+    qam_indices,
+    read_iq_f64,
+    write_iq_f64,
+)
+
+
+INT_FIELDS = ["n_data", "n_zero", "n_taps", "n_blocks", "n_tx", "n_rx", "mod_order"]
 
 
 class TestSystemConfig:
@@ -40,6 +49,20 @@ class TestSystemConfig:
         # an infinite signal power used to pass and fail mid-run
         with pytest.raises(ConfigError, match="signal_power must be finite and positive"):
             SystemConfig(signal_power=power)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("kind", [float, bool])
+    def test_non_int_sizes_rejected(self, field, kind):
+        # 512.0 used to pass and fail mid-run in assemble_window with a
+        # TypeError, and n_blocks=True ran as one block
+        value = kind(getattr(SystemConfig(), field))
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            SystemConfig(**{field: value})
+
+    def test_numpy_ints_accepted(self):
+        defaults = SystemConfig()
+        cfg = SystemConfig(**{field: np.int64(getattr(defaults, field)) for field in INT_FIELDS})
+        assert cfg.block_len == 532
 
 
 class TestConstellation:
@@ -108,7 +131,7 @@ class TestGenerateBlock:
         assert rho < 4 / np.sqrt(512)
 
 
-class TestDrawBlockData:
+class TestDrawUnscaledBlocks:
     """Rows are split evenly among the generators, each drawing its rows in turn."""
 
     @pytest.mark.parametrize("gaussian_source", [False, True])
@@ -117,11 +140,11 @@ class TestDrawBlockData:
             n_data=37, n_zero=8, n_taps=4, mod_order=16, gaussian_source=gaussian_source
         )
         many = np.empty((5, 37), dtype=np.complex128)
-        draw_block_data(cfg, [np.random.default_rng(41)], many)
+        draw_unscaled_blocks(cfg, [np.random.default_rng(41)], many)
         rng = np.random.default_rng(41)
         one = np.empty_like(many)
         for row in one:
-            draw_block_data(cfg, [rng], row[None])
+            draw_unscaled_blocks(cfg, [rng], row[None])
         np.testing.assert_array_equal(many, one)
 
     @pytest.mark.parametrize("gaussian_source", [False, True])
@@ -130,10 +153,10 @@ class TestDrawBlockData:
             n_data=16, n_zero=4, n_taps=2, n_tx=2, mod_order=4, gaussian_source=gaussian_source
         )
         out = np.empty((6, 16), dtype=np.complex128)
-        draw_block_data(cfg, [np.random.default_rng(s) for s in (1, 2, 3)], out)
+        draw_unscaled_blocks(cfg, [np.random.default_rng(s) for s in (1, 2, 3)], out)
         for g, seed in enumerate((1, 2, 3)):
             alone = np.empty((2, 16), dtype=np.complex128)
-            draw_block_data(cfg, [np.random.default_rng(seed)], alone)
+            draw_unscaled_blocks(cfg, [np.random.default_rng(seed)], alone)
             np.testing.assert_array_equal(out[2 * g : 2 * g + 2], alone)
 
     @pytest.mark.parametrize("gaussian_source", [False, True])
@@ -143,7 +166,7 @@ class TestDrawBlockData:
         )
         rngs = [np.random.default_rng(1), np.random.default_rng(2)]
         with pytest.raises(ValueError):
-            draw_block_data(cfg, rngs, np.empty((5, 8), dtype=np.complex128))
+            draw_unscaled_blocks(cfg, rngs, np.empty((5, 8), dtype=np.complex128))
 
 
 class TestGenerateFrame:
