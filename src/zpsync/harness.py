@@ -57,7 +57,9 @@ from .estimators import (
     wed_plan,
 )
 from .likelihood import b_function, scratch, variance_profile_h0
-from .waveform import ConfigError, SystemConfig, _is_int, block_scale, draw_unscaled_blocks
+from .waveform import (
+    ConfigError, SystemConfig, _check_ints, _is_int, block_scale, draw_unscaled_blocks
+)
 
 
 def _is_real(value) -> bool:
@@ -146,9 +148,7 @@ class ExperimentSpec:
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
         _check_run(self.trials, self.master_seed)
-        for name in ("workers", "d_min", "d_max"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        _check_ints(self, ("workers", "d_min", "d_max"))
         if len(self.values) == 0:
             raise ConfigError("sweep axis needs at least one value")
         if self.trials < 1:
