@@ -10,14 +10,15 @@ hypothesized variance profile is piecewise constant and periodic, so each
 estimator scores a hypothesis from prefix sums at the edges of its
 constant-class runs. One fold (:func:`_fold`) serves all three: it reads the
 terms laid out period by period, adds them up over the stream's periods
-first and then takes cumulative sums over three periods' worth, not over the
-window; each hypothesis then costs O(runs per block) lookups. A-ML and WED
-read the runs of the variance profile and fold every period that some
-hypothesis reads in the window. ED reads one run per period, the zero tail
-taken from the config, and folds exactly n_blocks periods: it leaves out
-block n_blocks even when the window reaches into it. A cumulative sum
-carries one non-finite sample into every later segment, so non-finite input
-is rejected up front.
+first and then takes cumulative sums over at most three periods' worth, not
+over the window, and only as far as some hypothesis reads (two periods and
+a column when no offset is negative); each hypothesis then costs O(runs per
+block) lookups. A-ML and WED read the runs of the variance profile and fold
+every period that some hypothesis reads in the window. ED reads one run per
+period, the zero tail taken from the config, and folds exactly n_blocks
+periods: it leaves out block n_blocks even when the window reaches into it.
+A cumulative sum carries one non-finite sample into every later segment, so
+non-finite input is rejected up front.
 
 A-ML splits the profile's variance classes by how many window cells their
 runs can reach. Under n_d hypotheses a run of L samples reaches
@@ -42,11 +43,14 @@ bit-identical to scoring each window on its own.
 A-ML's per-window buffers (the table laid out by period, the squares, the
 mixture accumulators, the sparse cells' gather and fold) are scratch:
 given a workspace, ``AmlPlan.scores`` takes them from it (see
-:func:`~zpsync.likelihood.scratch`). The harness keeps one workspace per
-serial sweep, shared by every point and chunk, so the buffers grow to the
-largest point's once and are reused every window; buffers freed after each
-window would be handed back to the system and faulted in again by the
-next. The public ``aml_estimate`` call allocates its buffers per call.
+:func:`~zpsync.likelihood.scratch`). So does :func:`energy_scores` for
+WED's and ED's gathers, which ``EnergyPlan.gather`` takes a tile of
+windows at a time into two buffers of a fixed size. The harness keeps one
+workspace per serial sweep, shared by every point and chunk, so the
+buffers grow to the largest point's once and are reused every window;
+buffers freed after each window would be handed back to the system and
+faulted in again by the next. The public calls allocate their buffers per
+call.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ from .likelihood import (
     scratch,
 )
 from .waveform import ConfigError, SystemConfig, _check_ints
+
+# bytes of each of an energy gather's two tile buffers (256 KiB): both
+# stay in a core's L2 cache and a sweep's workspace faults in few pages for
+# them, yet a full-range tile holds three windows and a fig4 chunk of 50
+# windows is one tile
+_GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -152,30 +162,42 @@ def _period_count(m: int, n_s: int, d_max: int) -> int:
     return max(1, -(-(d_max + m) // n_s))
 
 
-def _fold(terms: np.ndarray, n_periods: int) -> np.ndarray:
+def _fold_width(n_s: int, d_min: int) -> int:
+    """Columns of the :func:`_fold` output that hypotheses from ``d_min`` on
+    read: a run edge ``e <= n_s`` of a period reads column
+    ``e - d + n_s``, so none reads past ``2 * n_s - min(d_min, 0)``."""
+    return 2 * n_s + 1 - min(d_min, 0)
+
+
+def _fold(terms: np.ndarray, n_periods: int, width: int) -> np.ndarray:
     """Prefix sums of per-sample terms added up over the first
-    ``n_periods`` periods of the stream.
+    ``n_periods`` periods of the stream, up to the last column a hypothesis
+    reads.
 
     ``terms[..., p, j]`` is the term of window sample ``p * n_s + j``, zero
     past the window's end, for periods ``p <= n_periods``; later periods are
     not read. With ``S(k)`` the sum of the terms of the first ``k`` window
-    samples (0 for ``k <= 0``), returns ``out`` (..., 3 * n_s) with
+    samples (0 for ``k <= 0``), returns ``out`` (..., width) with
     ``out[..., x + n_s]`` the sum over periods ``p < n_periods`` of
-    ``S(p * n_s + x)`` for every ``x`` in ``[-n_s, 2 * n_s)``. A run from
-    ``b`` to ``e`` then adds ``out[e - d + n_s] - out[b - d + n_s]`` to
-    hypothesis ``d``: its segments in those periods at once, clipped to the
-    window. The caller picks the count: ``_period_count`` for every period
-    some hypothesis reads, or fewer to leave the later periods out.
+    ``S(p * n_s + x)`` for every ``x`` in ``[-n_s, width - n_s)``, where
+    ``width`` lies in ``[2 * n_s + 1, 3 * n_s]``: :func:`_fold_width` gives
+    the columns a hypothesis set reads. A run from ``b`` to ``e`` then adds
+    ``out[e - d + n_s] - out[b - d + n_s]`` to hypothesis ``d``: its
+    segments in those periods at once, clipped to the window. The caller
+    picks the count: ``_period_count`` for every period some hypothesis
+    reads, or fewer to leave the later periods out.
 
     The terms are added up over the periods first, so the only cumulative
-    sums run over three periods' worth, not the window: at ``x - n_s`` the
-    sum loses its last period and gains the one before index 0, where every
-    term is 0; at ``x + n_s`` it loses its first period and gains the one
-    after its last. Each of these three rows starts from a constant, the sum
-    of ``S(p * n_s)`` over its periods, which the period totals give, so a
-    row's cumulative sum adds up only its own terms. Every sum runs along
-    one row of ``terms``, so a row of a group folds bit for bit as it folds
-    alone.
+    sums run over up to three periods' worth, not the window: at
+    ``x - n_s`` the sum loses its last period and gains the one before
+    index 0, where every term is 0; at ``x + n_s`` it loses its first period
+    and gains the one after its last. Each of these three rows starts from a
+    constant, the sum of ``S(p * n_s)`` over its periods, which the period
+    totals give, so a row's cumulative sum adds up only its own terms. The
+    third row is summed only as far as ``width`` reaches: for hypotheses
+    ``d >= 0`` it is its constant alone. Every sum runs along one row of
+    ``terms``, so a row of a group folds bit for bit as it folds alone, and
+    a narrower fold is the leading columns of a wider one.
     """
     n_s = terms.shape[-1]
     lead = terms.shape[:-2]
@@ -187,16 +209,20 @@ def _fold(terms: np.ndarray, n_periods: int) -> np.ndarray:
     np.add.reduce(terms[..., :n_periods, :], axis=-1, out=whole[..., 2:])
     np.add.accumulate(whole, axis=-1, out=whole)
     np.add.accumulate(whole, axis=-1, out=whole)
-    out = np.empty(lead + (3, n_s))
-    # column 0 of each row holds its constant, column j + 1 its term at j
-    out[..., 0] = whole[..., -3:]
-    low, mid, high = out[..., 0, 1:], out[..., 1, 1:], out[..., 2, 1:]
+    out = np.empty(lead + (width,))
+    # column r * n_s of each row r holds its constant, column r * n_s + j + 1
+    # its term at j; the third row's terms stop at the last column read
+    out[..., ::n_s] = whole[..., -3:]
+    low, mid, high = out[..., 1:n_s], out[..., n_s + 1 : 2 * n_s], out[..., 2 * n_s + 1 :]
+    k = high.shape[-1]
     np.add.reduce(terms[..., : n_periods - 1, :-1], axis=-2, out=low)
     np.add(low, terms[..., n_periods - 1, :-1], out=mid)
-    np.subtract(mid, terms[..., 0, :-1], out=high)
-    high += terms[..., n_periods, :-1]
-    np.add.accumulate(out, axis=-1, out=out)
-    return out.reshape(lead + (3 * n_s,))
+    np.subtract(mid[..., :k], terms[..., 0, :k], out=high)
+    high += terms[..., n_periods, :k]
+    for start in (0, n_s, 2 * n_s):
+        row = out[..., start : start + n_s]
+        np.add.accumulate(row, axis=-1, out=row)
+    return out
 
 
 def _best(scores: np.ndarray, hyp: HypothesisSet, maximize: bool, tag: str) -> np.ndarray:
@@ -304,9 +330,10 @@ def _dense_rows(
     n_s = vp.block_len
     runs = dense[vp.run_class]
     # each dense run's bounds per hypothesis, as indices into the flattened
-    # fold, whose row i holds class classes[i] from column 3 * i * n_s on,
-    # at the columns _run_offsets gives within a row
-    row = 3 * n_s * (dense.cumsum() - 1)[vp.run_class[runs]]
+    # fold, whose row i holds class classes[i] from column i * width on, at
+    # the columns _run_offsets gives within a row
+    width = _fold_width(n_s, hyp.d_min)
+    row = width * (dense.cumsum() - 1)[vp.run_class[runs]]
     lo, hi = (bound[:, runs] + row for bound in _run_offsets(vp.run_edges, n_s, hyp))
     # stream indices below 0 are class 0: the first -d samples when d < 0
     below = np.maximum(-hyp.values, 0) if hyp.d_min < 0 and dense[0] else None
@@ -318,7 +345,7 @@ def _dense_rows(
         flat = terms.reshape(classes.size, -1)
         loglik_class_table(samples, vp, mixture, classes, flat[:, :m], work)
         flat[:, m:] = 0.0
-        folded = _fold(terms, n_periods).ravel()
+        folded = _fold(terms, n_periods, width).ravel()
         total = (folded[hi] - folded[lo]).sum(axis=1)
         if below is not None:
             # below 0 reads class 0's first -d samples; -d < n_s
@@ -400,29 +427,53 @@ class EnergyPlan:
         """One window's energies, in a new array of the periods this plan folds."""
         return energy_terms(samples, np.empty((self.n_periods + 1, self.n_s)))
 
-    def gather(self, folded: np.ndarray) -> np.ndarray:
-        # over a group of rows the gathers come out with the row axis
-        # innermost in memory; a matmul over that layout sums in another
-        # order than over one window's, so copy to C order first
-        return np.subtract(folded[..., self.hi], folded[..., self.lo], order="C") @ self.weights
+    def gather(self, folded: np.ndarray, work: dict | None = None) -> np.ndarray:
+        """Scores from the fold of one window's energies, or of a group's,
+        one per row: each run's columns ``hi`` minus ``lo``, weighted and
+        summed over the runs.
+
+        The columns are taken in C order, row by row, into two buffers of
+        ``(tile, n_d, runs)`` from the workspace ``work`` (see
+        :func:`~zpsync.likelihood.scratch`), the tile as many rows as fit
+        ``_GATHER_BYTES``, so they stay in cache and are not faulted in
+        again per chunk. A matmul runs one gemv per row of the tile, as
+        over one window's gather alone, so a row scores bit for bit as
+        the window does in a public call."""
+        rows = folded.reshape(-1, folded.shape[-1])
+        n_d, runs = self.hi.shape
+        tile = min(len(rows), max(1, _GATHER_BYTES // (8 * self.hi.size)))
+        hi = scratch(work, "gather_hi", (tile, n_d, runs))
+        lo = scratch(work, "gather_lo", (tile, n_d, runs))
+        out = np.empty((len(rows), n_d))
+        for start in range(0, len(rows), tile):
+            block = rows[start : start + tile]
+            h, l = hi[: len(block)], lo[: len(block)]
+            # mode="clip" writes into out directly, where "raise" buffers
+            # it; every column is in range anyway
+            np.take(block, self.hi, axis=-1, out=h, mode="clip")
+            np.take(block, self.lo, axis=-1, out=l, mode="clip")
+            np.subtract(h, l, out=h)
+            np.matmul(h, self.weights, out=out[start : start + len(block)])
+        return out.reshape(folded.shape[:-1] + (n_d,))
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return _best(scores, self.hyp, maximize=False, tag=self.tag)
 
 
-def energy_scores(plans, terms: np.ndarray) -> np.ndarray:
+def energy_scores(plans, terms: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Scores of a group of windows, row ``k`` from the energies
     ``terms[k]`` under ``plans[k]``, bit for bit the scores of that window
     alone: a group of one, as the public calls score.
     The plans differ only in their runs and weights (one sweep point,
     per-trial profiles), so the group shares one fold and, when all rows
     share a plan, one gather. ``terms`` may hold more periods than the
-    plans fold."""
+    plans fold. The gathers' buffers come from the workspace ``work`` when
+    one is given, else they are allocated per call."""
     plan = plans[0]
-    folded = _fold(terms, plan.n_periods)
+    folded = _fold(terms, plan.n_periods, _fold_width(plan.n_s, plan.hyp.d_min))
     if all(p is plan for p in plans):
-        return plan.gather(folded)
-    return np.stack([p.gather(row) for p, row in zip(plans, folded)])
+        return plan.gather(folded, work)
+    return np.stack([p.gather(row, work) for p, row in zip(plans, folded)])
 
 
 def wed_plan(vp: VarianceProfile, noise_var: float, hyp: HypothesisSet, m: int) -> EnergyPlan:

@@ -338,7 +338,7 @@ class _PointTrials:
         scores = {"aml": self.aml}
         for est, plans in self.energy.items():
             t0 = time.perf_counter_ns()
-            scores[est] = energy_scores(plans, self.energies)
+            scores[est] = energy_scores(plans, self.energies, self.work)
             self.elapsed[est] += time.perf_counter_ns() - t0
         d_hat = [self.plans[est].decide(scores[est]) for est in self.spec.estimators]
         return np.array(d_hat), list(self.elapsed.values())
@@ -367,7 +367,8 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.nda
     faulted in again on every window. It keeps each window's scores in a
     row of one workspace buffer per point. WED and ED keep only each
     window's per-sample energies, in one workspace buffer per point that
-    runs them, and score the whole chunk at its end. Every estimator is
+    runs them, and score the whole chunk at its end, gathering a tile of
+    windows at a time into two more workspace buffers. Every estimator is
     then decided once per chunk, from its score rows. A serial sweep hands
     every chunk the same workspace, so no chunk after the first faults
     these buffers in.

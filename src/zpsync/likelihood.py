@@ -352,7 +352,7 @@ def _single_component_table(
     flat = z2.reshape(1, -1)
     group = max(1, min(n_classes, _GROUP_ELEMENTS // flat.size))
     # fresh group scratch: holding it in the workspace as well made a
-    # full_range sweep call fault about 1390 pages against 1270
+    # full_range sweep call fault about 750 pages against 630, no faster
     acc = np.empty((group, flat.size))
     for lo in range(0, n_classes, group):
         hi = min(lo + group, n_classes)

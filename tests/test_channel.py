@@ -97,6 +97,31 @@ class TestDrawChannel:
         assert np.var(taps.imag) == pytest.approx(1.0, rel=0.05)
 
 
+    @pytest.mark.parametrize("n_rx", [1, 2, 3])
+    @pytest.mark.parametrize("n_tx", [1, 2, 3])
+    def test_taps_equal_the_matmul_of_their_normals(self, sim_profile, n_rx, n_tx):
+        # the taps read their I/Q pairs as complex numbers; the formula
+        # they replace multiplied the pairs by [1, 1j]
+        taps = draw_channel(sim_profile, n_tx, n_rx, substream(4, n_tx, n_rx))
+        normals = substream(4, n_tx, n_rx).standard_normal((n_rx, n_tx, sim_profile.n_taps, 2))
+        ref = normals @ np.array([1.0, 1.0j])
+        ref *= np.sqrt(sim_profile.powers / 2.0)
+        assert taps.shape == (n_rx, n_tx, sim_profile.n_taps)
+        np.testing.assert_array_equal(taps.view(np.float64), ref.view(np.float64))
+
+    def test_stream_signal_leaves_the_normals_alone(self, sim_profile):
+        # every link of a stream builds its taps from the same normals
+        config = SystemConfig(n_tx=2, n_rx=2)
+        mixture = scale_mixture_to_snr(NoiseMixture.impulsive(), 1.0, 5.0)
+        seeds = window_seeds(config, 0, (3, 1))[0]
+        draws = draw_stream(config, sim_profile, mixture, 0, seeds, config.window_len)
+        before = draws.normals.copy()
+        for link in (config, replace(config, n_tx=1, n_rx=1)):
+            _, taps = stream_signal(draws, link, sim_profile)
+            assert not np.shares_memory(taps, draws.normals)
+            np.testing.assert_array_equal(draws.normals, before)
+
+
 class TestNoiseMixture:
     def test_weights_must_normalize(self):
         with pytest.raises(ConfigError):

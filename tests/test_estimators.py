@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -547,9 +548,10 @@ class TestGroupScoring:
         "fig7-perturbed": ("fig7", {"noise": "gaussian"}, 30, True),
     }
 
-    @pytest.fixture(scope="class", params=sorted(CASES))
-    def group(self, request):
-        preset, overrides, d_max, perturbed = self.CASES[request.param]
+    @staticmethod
+    @functools.cache
+    def build(name: str):
+        preset, overrides, d_max, perturbed = TestGroupScoring.CASES[name]
         settings_ = presets.merge_settings(presets.load_preset(preset), overrides)
         cfg = dataclasses.replace(presets.config_from_settings(settings_), snr_db=5.0)
         profile = presets.profile_from_settings(settings_, cfg.n_taps)
@@ -572,8 +574,14 @@ class TestGroupScoring:
         ed_plans = [estimators.ed_plan(cfg, hyp, cfg.window_len)] * 64
         return windows, noise_var, hyp, wed_plans, ed_plans
 
-    @pytest.mark.parametrize("size", [1, 5, 64])
-    def test_scores_equal_public_calls(self, group, size):
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def group(self, request):
+        return self.build(request.param)
+
+    @staticmethod
+    def check(group, size: int, work: dict | None) -> None:
+        """Score the group's first ``size`` windows as a sweep does, into
+        ``work``, and compare each row with the window's public calls."""
         windows, noise_var, hyp, wed_plans, ed_plans = group
         # ED folds fewer periods than WED, out of the same buffer
         n_periods = max(wed_plans[0].n_periods, ed_plans[0].n_periods)
@@ -581,11 +589,33 @@ class TestGroupScoring:
         terms = np.empty((size, n_periods + 1, wed_plans[0].n_s))
         for k, (window, _) in enumerate(windows[:size]):
             estimators.energy_terms(window.samples, terms[k])
-        wed = estimators.energy_scores(wed_plans[:size], terms)
-        ed = estimators.energy_scores(ed_plans[:size], terms)
+        wed = estimators.energy_scores(wed_plans[:size], terms, work)
+        ed = estimators.energy_scores(ed_plans[:size], terms, work)
+        assert wed.shape == ed.shape == (size, hyp.size)
         for k, (window, vp) in enumerate(windows[:size]):
             np.testing.assert_array_equal(wed[k], wed_estimate(window, vp, noise_var, hyp).scores)
             np.testing.assert_array_equal(ed[k], ed_estimate(window, hyp).scores)
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_scores_equal_public_calls(self, group, size):
+        self.check(group, size, None)
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_workspace_scores_equal_public_calls(self, group, size):
+        self.check(group, size, {})
+
+    def test_workspace_reused_across_chunks_and_points(self):
+        # one sweep's workspace: two points, chunks of different sizes, the
+        # full-range point's gathers tiled over several rows
+        work = {}
+        for name, size in [("fig4-10-blocks", 5), ("fig2-full-range", 64),
+                           ("fig4-10-blocks", 64), ("fig2-full-range", 7)]:
+            self.check(self.build(name), size, work)
+        buffers = {name: work[name] for name in ("gather_hi", "gather_lo")}
+        self.check(self.build("fig4-2-blocks"), 12, work)
+        assert all(work[name] is buffer for name, buffer in buffers.items())
+        # each buffer holds one tile, whatever the chunk
+        assert all(b.nbytes <= estimators._GATHER_BYTES for b in buffers.values())
 
 
 def reference_fold(window_terms: np.ndarray, n_s: int, n_periods: int) -> np.ndarray:
@@ -621,19 +651,76 @@ class TestFold:
         m = {"mid": n_periods * n_s - 3, "edge": n_periods * n_s, "past": (n_periods + 3) * n_s}
         window_terms = np.abs(rng.standard_normal((4, m[length]))) ** 0.5
         terms = self.laid_out(window_terms, n_s, n_periods)
-        folded = estimators._fold(terms, n_periods)
+        folded = estimators._fold(terms, n_periods, 3 * n_s)
         for row, window in zip(folded, window_terms):
             np.testing.assert_allclose(row, reference_fold(window, n_s, n_periods), rtol=1e-12)
         # every row of the batch is bit-equal to its fold alone
         for row, single in zip(folded, terms):
-            np.testing.assert_array_equal(row, estimators._fold(single, n_periods))
+            np.testing.assert_array_equal(row, estimators._fold(single, n_periods, 3 * n_s))
 
     def test_reads_no_period_past_its_count(self, rng):
         # a buffer laid out for more periods than the fold reads (ED in a
         # sweep's energy buffer) folds as one laid out for its own count
         window_terms = rng.standard_normal(60)
         wide, narrow = (self.laid_out(window_terms, 8, p) for p in (6, 4))
-        np.testing.assert_array_equal(estimators._fold(wide, 4), estimators._fold(narrow, 4))
+        np.testing.assert_array_equal(
+            estimators._fold(wide, 4, 24), estimators._fold(narrow, 4, 24)
+        )
+
+    # the narrowest fold (hypotheses d >= 0), one and two columns of the
+    # third row's terms, and the whole fold, which d_min = 1 - n_s reads
+    @pytest.mark.parametrize("width", [15, 16, 17, 21])
+    @pytest.mark.parametrize("n_periods", [1, 2, 11])
+    def test_trimmed_fold_is_the_leading_columns(self, rng, n_periods, width):
+        n_s = 7
+        window_terms = np.abs(rng.standard_normal((3, n_periods * n_s + 4))) ** 0.5
+        terms = self.laid_out(window_terms, n_s, n_periods)
+        trimmed = estimators._fold(terms, n_periods, width)
+        assert trimmed.shape == (3, width)
+        np.testing.assert_array_equal(trimmed, estimators._fold(terms, n_periods, 3 * n_s)[:, :width])
+        # integer terms add up exactly, so the period-first fold equals the
+        # window's prefix sums bit for bit
+        window_terms = rng.integers(0, 1000, (3, n_periods * n_s + 4)).astype(float)
+        trimmed = estimators._fold(self.laid_out(window_terms, n_s, n_periods), n_periods, width)
+        for row, window in zip(trimmed, window_terms):
+            np.testing.assert_array_equal(row, reference_fold(window, n_s, n_periods)[:width])
+
+    @staticmethod
+    def closure(scorer) -> dict:
+        """The variables a plan part's scorer reads from its builder."""
+        cells = (cell.cell_contents for cell in scorer.__closure__)
+        return dict(zip(scorer.__code__.co_freevars, cells))
+
+    # d_min below, at and above 0, d_max near n_s - 1 and the widest sets
+    @pytest.mark.parametrize(
+        "bounds", [(-531, 0), (-200, 300), (-1, 531), (0, 531), (0, 30), (5, 530)]
+    )
+    def test_no_plan_reads_past_the_fold(self, bounds):
+        settings_ = presets.merge_settings(presets.load_preset("fig2"), {"noise": "gaussian"})
+        cfg = dataclasses.replace(presets.config_from_settings(settings_), snr_db=10.0)
+        profile = presets.profile_from_settings(settings_, cfg.n_taps)
+        mixture = scale_mixture_to_snr(NoiseMixture.gaussian(), cfg.signal_power, cfg.snr_db)
+        vp = variance_profile_h0(cfg, profile)
+        hyp = HypothesisSet(*bounds)
+        n_s, m = cfg.block_len, cfg.window_len
+        width = estimators._fold_width(n_s, hyp.d_min)
+        assert 2 * n_s < width <= 3 * n_s
+        # Gaussian noise keeps every class dense: one fold row per class,
+        # each run's bounds within its own class's row
+        (dense,) = estimators.aml_plan(vp, mixture, hyp, m).parts
+        seen = self.closure(dense)
+        assert seen["width"] == width and seen["classes"].size > 2
+        lo, hi = seen["lo"], seen["hi"]
+        np.testing.assert_array_equal(lo // width, hi // width)
+        assert lo.min() >= 0 and hi.max() < seen["classes"].size * width
+        # the last column read is the fold's last one when d_min <= 0
+        assert (hi % width).max() == 2 * n_s - hyp.d_min
+        if hyp.d_min >= 0:
+            for plan in (
+                estimators.wed_plan(vp, float(mixture.variances[0]), hyp, m),
+                estimators.ed_plan(cfg, hyp, m),
+            ):
+                assert 0 <= plan.lo.min() and plan.hi.max() < width
 
     def test_dense_class_zero_below_stream_start(self):
         # Gaussian noise keeps class 0 dense, and hypotheses d < 0 read its

@@ -488,8 +488,9 @@ class TestRunSweep:
         assert all(1 <= len(chunk) <= 5 for chunk in calls)
 
     def test_serial_chunks_reuse_one_workspace(self, monkeypatch):
-        # the energy buffers and A-ML's scratch outlive a chunk: a chunk
-        # after the first finds its buffers allocated, not fresh ones to fault
+        # the energy buffers, the energy gathers' tiles and A-ML's scratch
+        # outlive a chunk: a chunk after the first finds its buffers
+        # allocated, not fresh ones to fault
         real_run = harness._run_trials
         buffers = []
 
@@ -505,7 +506,8 @@ class TestRunSweep:
             mixture=NoiseMixture.gaussian(), d_min=0, d_max=8,
         ))
         assert len(buffers) == 3
-        assert {"energy0", "energy1", "aml0", "aml1", "terms"} <= buffers[0].keys()
+        expected = {"energy0", "energy1", "aml0", "aml1", "terms", "gather_hi", "gather_lo"}
+        assert expected <= buffers[0].keys()
         for later in buffers[1:]:
             assert later.keys() == buffers[0].keys()
             assert all(later[name] is buf for name, buf in buffers[0].items())
