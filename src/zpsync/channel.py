@@ -542,10 +542,7 @@ def draw_stream(
 
 
 def stream_signal(
-    draws: StreamDraws,
-    config: SystemConfig,
-    profile: DelayProfile,
-    channel: np.ndarray | None = None,
+    draws: StreamDraws, config: SystemConfig, profile: DelayProfile
 ) -> tuple[np.ndarray, np.ndarray]:
     """The noise-free received signal of ``config``'s link over the drawn
     stream, from index 0 to its ``stop``, and its channel: ``(signal,
@@ -553,17 +550,15 @@ def stream_signal(
     falls in the pre-pad.
 
     The data rows of the link's tx antennas are scaled to their power, the
-    taps are built from the channel normals (unless ``channel`` pins them),
-    and each rx antenna sums its tx convolutions of the frames cut at
-    ``stop``: each output sample of a convolution reads only the samples
-    before it, so the cut output is a prefix of the whole one, bit for bit.
-    A link with fewer blocks than were drawn reads a prefix of this signal
-    for the same reason.
+    taps are built from the channel normals, and each rx antenna sums its
+    tx convolutions of the frames cut at ``stop``: each output sample of a
+    convolution reads only the samples before it, so the cut output is a
+    prefix of the whole one, bit for bit. A link with fewer blocks than
+    were drawn reads a prefix of this signal for the same reason.
     """
     n_tx, n_rx = config.n_tx, config.n_rx
-    if channel is None:
-        normals = draws.normals[: n_rx * n_tx * profile.n_taps * 2]
-        channel = _taps(profile, normals.reshape(n_rx, n_tx, profile.n_taps, 2))
+    normals = draws.normals[: n_rx * n_tx * profile.n_taps * 2]
+    channel = _taps(profile, normals.reshape(n_rx, n_tx, profile.n_taps, 2))
     n = max(0, draws.stop - draws.d_pad)
     signal = np.empty((n_rx, n), dtype=np.complex128)
     if n:  # else the stream ends in the pre-pad
@@ -600,15 +595,13 @@ def assemble_window(
     d_true: int,
     seed: int | tuple[int, ...],
     d_pad: int | None = None,
-    channel: np.ndarray | None = None,
 ) -> ReceivedWindow:
     """Build the receiver's observation window for a true timing offset.
 
     ``d_true`` may range over [-d_pad, block_len - 1]: negative offsets mean
     the receiver started early and captures that many leading noise samples.
-    ``seed`` identifies the trial; pass ``channel`` (taps as
-    :func:`draw_channel` returns them) to pin the channel (noise-free oracle
-    tests).
+    ``seed`` identifies the trial: every draw, the channel included, comes
+    from its substreams.
     """
     seed_t = (seed,) if isinstance(seed, int) else tuple(seed)
     n_s = config.block_len
@@ -624,6 +617,6 @@ def assemble_window(
     stop = start + config.window_len
     seeds = window_seeds(config, d_pad, seed_t)[0]
     draws = draw_stream(config, profile, mixture, d_pad, seeds, stop)
-    signal, channel = stream_signal(draws, config, profile, channel)
+    signal, channel = stream_signal(draws, config, profile)
     samples = finish_stream(draws, mixture, signal, start, stop)
     return ReceivedWindow(samples, d_true, config, channel)

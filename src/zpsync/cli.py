@@ -364,7 +364,7 @@ def _cmd_validate_pdf(args: argparse.Namespace, settings: dict, seed: int) -> in
 def _cmd_profile(args: argparse.Namespace, settings: dict, seed: int) -> int:
     config, profile, mixture = _link(settings)
     trials = settings.get("trials", 10)
-    check_scaling_run(settings["sizes"], trials, seed)
+    check_scaling_run(config, settings["sizes"], trials, seed)
     with _run_dir(args, seed) as out_dir:
         report = run_runtime_scaling(
             config=config,

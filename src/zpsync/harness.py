@@ -93,6 +93,41 @@ def _reject_repeats(what: str, items) -> None:
         seen.add(item)
 
 
+# the most bytes a run's largest arrays may take in one process, reckoned
+# from its sizes before it starts: a larger run is refused with a
+# ConfigError where it would otherwise be killed mid-run for memory
+_RUN_BYTES = 256 << 20
+
+
+def _check_bytes(arrays: dict[str, int]) -> None:
+    """Refuse a run whose ``arrays`` (bytes by name) add up past
+    ``_RUN_BYTES``, naming those of 1 MiB or more."""
+    total = sum(arrays.values())
+    if total > _RUN_BYTES:
+        mib = {name: size >> 20 for name, size in arrays.items()}
+        parts = ", ".join(f"{name} {size:,}" for name, size in mib.items() if size)
+        raise ConfigError(
+            f"run too large: its largest arrays would take {total / 2**20:,.0f} MiB"
+            f" ({parts}), over the {_RUN_BYTES >> 20} MiB a run may take"
+        )
+
+
+def _window_bytes(config: SystemConfig, windows: int) -> dict[str, int]:
+    """The largest arrays of scoring ``windows`` windows of ``config``'s
+    link together, in bytes: the stream of its tx and rx antennas and A-ML's
+    period table, over n_blocks + 2 blocks (the stream, the block past it
+    and a pre-pad), the seed table of the windows' substreams (about 160
+    bytes a row at the hash's peak) and the windows' per-sample energies."""
+    span = (config.n_blocks + 2) * config.block_len
+    streams = 1 + config.n_tx * (config.n_blocks + 1) + config.n_rx * (config.n_blocks + 2)
+    return {
+        "stream": 16 * (config.n_tx + config.n_rx) * span,
+        "A-ML table": 8 * (2 * config.n_taps + 1) * span,
+        "seed table": 160 * windows * streams,
+        "energies": 8 * windows * span,
+    }
+
+
 # each sweep axis: the check its values pass, their description in error
 # messages, and the base (part, field) pairs that its points replace
 _AXES = {
@@ -174,8 +209,12 @@ class ExperimentSpec:
         _reject_repeats(f"{self.axis} values", self.values)
         HypothesisSet(self.d_min, self.d_max).validate_against(self.config.block_len)
         # every point's noise power must be finite and positive
-        for value in self.values:
-            _point_link(self, value)
+        configs = [_point_link(self, value)[0] for value in self.values]
+        # a chunk draws the largest link; each point keeps its own energies
+        arrays = _window_bytes(_drawn_link(self.config, configs), _SEED_GROUP)
+        energies = [_window_bytes(c, _SEED_GROUP)["energies"] for c in configs]
+        arrays["energies"] = sum(energies) if {"wed", "ed"} & set(self.estimators) else 0
+        _check_bytes(arrays)
 
 
 @dataclass(frozen=True)
@@ -267,6 +306,13 @@ def _point_link(spec: ExperimentSpec, value) -> tuple[SystemConfig, NoiseMixture
     values = value if len(fields) > 1 else (value,)
     config = dataclasses.replace(config, **dict(zip(fields, values)))
     return config, scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
+
+
+def _drawn_link(config: SystemConfig, configs) -> SystemConfig:
+    """The link a sweep draws its trials for: ``config`` with the most tx
+    antennas, rx antennas and blocks of any point's config in ``configs``."""
+    sizes = {f: max(getattr(c, f) for c in configs) for f in ("n_tx", "n_rx", "n_blocks")}
+    return dataclasses.replace(config, **sizes)
 
 
 # the most trials one ``_run_trials`` call runs: their window seeds are
@@ -376,8 +422,7 @@ def _run_trials(spec: ExperimentSpec, work: dict, trials: range) -> tuple[np.nda
     hyp = HypothesisSet(spec.d_min, spec.d_max)
     d_pad = max(0, -spec.d_min)
     points = [_PointTrials(spec, p, hyp, len(trials), work) for p in range(len(spec.values))]
-    sizes = {f: max(getattr(p.config, f) for p in points) for f in ("n_tx", "n_rx", "n_blocks")}
-    drawn = dataclasses.replace(spec.config, **sizes)
+    drawn = _drawn_link(spec.config, [p.config for p in points])
     seeds = window_seeds(drawn, d_pad, (spec.master_seed,), trials)
     d_true = []
     for k, t in enumerate(trials):
@@ -484,9 +529,16 @@ class MomentReport:
 # trials the moment sampler draws at a time: a batch's data blocks, then its
 # taps, then its noise, so the samples depend on it
 _BATCH = 20000
-# data blocks the moment sampler draws and transforms at a time: bounds its
-# working set whatever the batch (larger chunks only cost page faults)
-_DATA_ROWS = 1024
+# bytes of the row buffer through which the moment sampler draws and
+# transforms its data blocks, as many whole rows of n_data complex samples as
+# fit (at least one; 1024 at n_data 512): bounds its working set whatever the
+# batch and block length (larger buffers only cost page faults)
+_DATA_BYTES = 8 << 20
+
+
+def _data_rows(n_data: int, batch: int) -> int:
+    """Rows of the moment sampler's row buffer."""
+    return min(batch, max(1, _DATA_BYTES // (16 * n_data)))
 
 
 def _batch_received_samples(
@@ -501,16 +553,17 @@ def _batch_received_samples(
     (fresh data, channel and noise per trial, drawn from ``rng`` in that order
     by the window generator's helpers; no timing offset).
 
-    The batch's data blocks are drawn ``_DATA_ROWS`` at a time into one row
-    buffer, and only the data positions ``k - u`` that the tap sums read are
-    kept; they are scaled once the batch is drawn. Rows drawn in chunks
-    equal rows drawn in one call, so the samples do not depend on the chunk
-    size; every block is drawn even when no position is kept, so the taps
-    and noise come from the same draws."""
+    The batch's data blocks are drawn as many at a time as fit one row
+    buffer of ``_DATA_BYTES`` (see :func:`_data_rows`), and only the data
+    positions ``k - u`` that the tap sums read are kept; they are scaled
+    once the batch is drawn. Rows drawn in chunks equal rows drawn in one
+    call, so the samples do not depend on the chunk size; every block is
+    drawn even when no position is kept, so the taps and noise come from
+    the same draws."""
     positions = ks[:, None] - np.arange(config.n_taps)
     cols = np.unique(positions[(positions >= 0) & (positions < config.n_data)])
     data = np.empty((batch, cols.size), dtype=np.complex128)
-    rows = np.empty((min(batch, _DATA_ROWS), config.n_data), dtype=np.complex128)
+    rows = np.empty((_data_rows(config.n_data, batch), config.n_data), dtype=np.complex128)
     one_tx = dataclasses.replace(config, n_tx=1)
     for start in range(0, batch, len(rows)):
         chunk = rows[: batch - start]
@@ -545,6 +598,14 @@ def check_moment_run(
     if np.any(ks < 0) or np.any(ks >= config.block_len):
         raise ConfigError(f"sample indices must lie in [0, {config.block_len - 1}]")
     _reject_repeats("sample indices", ks.tolist())
+    batch = min(trials, _BATCH)
+    _check_bytes({
+        "samples": 8 * trials * ks.size,
+        "data": 16 * batch * min(config.n_data, ks.size * config.n_taps),
+        "row buffer": 16 * _data_rows(config.n_data, batch) * config.n_data,
+        # a batch's received samples, their noise and its component uniforms
+        "received": 40 * batch * ks.size,
+    })
     return ks
 
 
@@ -639,10 +700,19 @@ class RuntimeScalingReport:
     loglog_slope: float  # fitted on per-size minima: scheduler noise only adds time
 
 
-def check_scaling_run(multipliers, trials: int, master_seed: int) -> list[int]:
-    """The block-length multipliers of a runtime scaling run as a list, after
-    checking them, the trial count and the master seed; raises
-    :class:`ConfigError`."""
+def _scaled_link(config: SystemConfig, multiplier: int) -> SystemConfig:
+    """``config`` with its block length, data and zero pad, times ``multiplier``."""
+    return dataclasses.replace(
+        config, n_data=config.n_data * multiplier, n_zero=config.n_zero * multiplier
+    )
+
+
+def check_scaling_run(
+    config: SystemConfig, multipliers, trials: int, master_seed: int
+) -> list[int]:
+    """The block-length multipliers of a runtime scaling run of ``config``'s
+    link as a list, after checking them, the trial count and the master
+    seed; raises :class:`ConfigError`."""
     multipliers = _ints("sizes", multipliers)
     if len(multipliers) < 3 or min(multipliers) < 1:
         raise ConfigError(f"need at least 3 sizes >= 1 for a scaling fit: {multipliers}")
@@ -650,6 +720,7 @@ def check_scaling_run(multipliers, trials: int, master_seed: int) -> list[int]:
     _check_run(trials, master_seed)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    _check_bytes(_window_bytes(_scaled_link(config, max(multipliers)), 1))
     return multipliers
 
 
@@ -669,17 +740,14 @@ def run_runtime_scaling(
     scale); they default to a normalized exponential profile and Gaussian
     noise. The mixture is scaled to ``config.snr_db``. The sizes take turns
     within each trial; each size keeps its own window seeds."""
-    multipliers = check_scaling_run(multipliers, trials, master_seed)
+    multipliers = check_scaling_run(config, multipliers, trials, master_seed)
     hyp = HypothesisSet(0, 30)
     if profile is None:
         profile = DelayProfile.exponential(1.0, 0.05, config.n_taps, normalized=True)
     if mixture is None:
         mixture = NoiseMixture.gaussian()
     scaled = scale_mixture_to_snr(mixture, config.signal_power, config.snr_db)
-    configs = [
-        dataclasses.replace(config, n_data=config.n_data * s, n_zero=config.n_zero * s)
-        for s in multipliers
-    ]
+    configs = [_scaled_link(config, s) for s in multipliers]
     profiles = [variance_profile_h0(cfg, profile) for cfg in configs]
     aml_ns = [[] for _ in multipliers]
     ed_ns = [[] for _ in multipliers]

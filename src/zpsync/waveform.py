@@ -260,15 +260,16 @@ def generate_frame(config: SystemConfig, n_blocks: int, rng: np.random.Generator
 
 
 def write_iq_f64(samples: np.ndarray, path) -> None:
-    """Dump complex samples as interleaved little-endian float64 (I, Q) pairs."""
-    flat = np.asarray(samples, dtype=np.complex128).ravel()
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    out.tofile(path)
+    """Dump complex samples as interleaved little-endian float64 (I, Q)
+    pairs: numpy's little-endian complex128, in C order."""
+    np.asarray(samples, dtype="<c16").tofile(path)
 
 
 def read_iq_f64(path) -> np.ndarray:
-    """Read back a dump produced by :func:`write_iq_f64`."""
-    raw = np.fromfile(path, dtype="<f8")
-    return raw[0::2] + 1j * raw[1::2]
+    """Read back a dump produced by :func:`write_iq_f64`, every bit as
+    written; raises ValueError for a file that ends inside a pair (read as
+    float64, a trailing part of a value would be dropped silently)."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size % 16:
+        raise ValueError(f"{path}: {raw.size} bytes, not whole pairs of float64 (I, Q)")
+    return raw.view("<c16")

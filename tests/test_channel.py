@@ -299,12 +299,6 @@ class TestScaleMixtureToSnr:
             scale_mixture_to_snr(NoiseMixture.impulsive(), signal_power, snr_db)
 
 
-def _identity_channel(n_taps: int, n_tx: int = 1, n_rx: int = 1) -> np.ndarray:
-    taps = np.zeros((n_rx, n_tx, n_taps), dtype=np.complex128)
-    taps[:, :, 0] = 1.0
-    return taps
-
-
 class TestConvolveFrame:
     def test_blocks_never_interfere(self, rng):
         # zeroing one block's data changes only that block's span
@@ -608,30 +602,30 @@ class TestWindowSeeds:
 
 
 class TestAssembleWindow:
+    # a one-tap channel scales the frame by its tap: a one-tap np.convolve
+    # is that product
     def test_identity_channel_reproduces_frame(self):
         cfg = SystemConfig(n_data=64, n_zero=8, n_taps=1, n_blocks=2, mod_order=16)
         profile = DelayProfile(np.array([1.0]))
         quiet = NoiseMixture.gaussian(1e-30)
         seed = (11, 0)
-        window = assemble_window(
-            cfg, profile, quiet, d_true=0, seed=seed, channel=_identity_channel(1)
-        )
+        window = assemble_window(cfg, profile, quiet, d_true=0, seed=seed)
         expected = np.concatenate(
             [
                 generate_block(cfg, substream(*seed, STREAM_SIGNAL, 0, n))
                 for n in range(2)
             ]
         )
-        np.testing.assert_allclose(window.samples[0], expected, atol=1e-12)
+        np.testing.assert_allclose(
+            window.samples[0], window.channel[0, 0, 0] * expected, atol=1e-12
+        )
 
     def test_negative_offset_prepends_noise(self):
         cfg = SystemConfig(n_data=64, n_zero=8, n_taps=1, n_blocks=2, mod_order=16)
         profile = DelayProfile(np.array([1.0]))
         quiet = NoiseMixture.gaussian(1e-30)
         seed = (12, 0)
-        window = assemble_window(
-            cfg, profile, quiet, d_true=-3, seed=seed, channel=_identity_channel(1)
-        )
+        window = assemble_window(cfg, profile, quiet, d_true=-3, seed=seed)
         frame = np.concatenate(
             [
                 generate_block(cfg, substream(*seed, STREAM_SIGNAL, 0, n))
@@ -639,7 +633,9 @@ class TestAssembleWindow:
             ]
         )
         assert np.all(np.abs(window.samples[0][:3]) < 1e-12)
-        np.testing.assert_allclose(window.samples[0][3:], frame[: window.length - 3], atol=1e-12)
+        np.testing.assert_allclose(
+            window.samples[0][3:], window.channel[0, 0, 0] * frame[: window.length - 3], atol=1e-12
+        )
 
     def test_shift_consistency_bit_exact(self, paper_config, sim_profile, impulsive_mixture):
         # one seed-aligned stream, sliced at two offsets

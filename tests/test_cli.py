@@ -531,6 +531,35 @@ def test_out_of_memory_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch
     assert "Traceback" not in err
 
 
+# runs whose arrays, reckoned from their sizes, exceed the memory budget; the
+# first was killed by the out-of-memory killer with its manifest at running
+_TOO_LARGE = {
+    "blocks": ["simulate", "--preset", "fig3", "--trials", "2", "--blocks", "1000000000"],
+    "simulate-n_data": ["simulate", "--preset", "fig2", "--trials", "2", "--config", "big.toml"],
+    "validate-n_data": [
+        "validate-pdf", "--preset", "table1", "--k", "1", "--trials", "2", "--config", "big.toml"
+    ],
+    "validate-trials": ["validate-pdf", "--preset", "table1", "--k", "1,150",
+                        "--trials", "100000000000"],
+    "sizes": ["profile", "--trials", "2", "--sizes", "1,2,100000"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_TOO_LARGE.values()), ids=list(_TOO_LARGE))
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        pytest.fail("an oversized run was started")
+
+    for name in ("run_sweep", "run_moment_validation", "run_runtime_scaling"):
+        monkeypatch.setattr(cli, name, reached)
+    (tmp_path / "big.toml").write_text("n_data = 1073741824\n")
+    argv = [str(tmp_path / a) if a == "big.toml" else a for a in argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert "MiB a run may take" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_config_key_exits_2(tmp_path, capsys):
     # the old parser kept the last value: this ran 20 trials with exit 0
     cfg = tmp_path / "exp.toml"

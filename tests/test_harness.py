@@ -40,6 +40,7 @@ from zpsync.presets import (
     load_preset,
     mixture_from_settings,
     profile_from_settings,
+    spec_from_settings,
 )
 
 SMALL = SystemConfig(n_data=64, n_zero=12, n_taps=6, n_blocks=3, mod_order=16, snr_db=12.0)
@@ -234,6 +235,27 @@ class TestExperimentSpecValidation:
             axis="pdp_alpha", values=(0.0, 0.3), config=dataclasses.replace(SMALL, snr_db=3.0)
         )
         assert spec_hash(a) != spec_hash(b)
+
+    def test_energies_of_every_point_count_against_the_memory_budget(self):
+        # about 59 MiB of stream, table and seeds, and 74 MiB of energies per
+        # point: two ED points fit the 256 MiB, three do not
+        config = dataclasses.replace(SMALL, n_blocks=2000)
+        ed = dict(config=config, estimators=("ed",), d_min=0)
+        small_spec(**ed, values=(12.0, 13.0))
+        small_spec(config=config, values=(12.0, 13.0, 14.0))
+        with pytest.raises(ConfigError, match="run too large: .*energies 222"):
+            small_spec(**ed, values=(12.0, 13.0, 14.0))
+
+    def test_presets_and_readme_runs_fit_the_memory_budget_with_room(self, monkeypatch):
+        totals = []
+        monkeypatch.setattr(harness, "_check_bytes", lambda a: totals.append(sum(a.values())))
+        for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
+            spec_from_settings(load_preset(name), master_seed=0)
+        table1 = config_from_settings(load_preset("table1"))
+        harness.check_moment_run(table1, (1, 150), 100000, 0)
+        harness.check_scaling_run(SystemConfig(), (1, 2, 4), 10, 0)
+        assert len(totals) == 8
+        assert max(totals) < harness._RUN_BYTES // 8
 
 
 class TestRunSweep:
@@ -833,8 +855,17 @@ class TestMomentSamplerBitExact:
         (dataclasses.replace(SMALL, n_data=33), SMALL_PROFILE, IMPULSIVE, [38, 44], 20, 0, 7)
     )
     def test_equals_reference_sampler_in_row_chunks(self, data_rows, case):
-        with mock.patch.object(harness, "_DATA_ROWS", data_rows):
+        # a budget of data_rows whole rows, and a few bytes short of one more
+        row_bytes = 16 * case[0].n_data
+        with mock.patch.object(harness, "_DATA_BYTES", (data_rows + 1) * row_bytes - 8):
+            assert harness._data_rows(case[0].n_data, 400) == data_rows
             assert_equals_reference_sampler(case)
+
+    def test_row_buffer_is_bounded_in_bytes(self):
+        assert harness._data_rows(512, 20000) == 1024  # table1
+        assert harness._data_rows(512, 300) == 300
+        assert harness._data_rows(4096, 20000) * 16 * 4096 == harness._DATA_BYTES
+        assert harness._data_rows(2**30, 20000) == 1
 
 
 def assert_equals_reference_sampler(case):
@@ -955,7 +986,7 @@ class TestRuntimeScaling:
         # three distinct sizes used to let a repeat through: it was timed
         # twice and counted twice in the slope fit
         with pytest.raises(ConfigError, match="sizes must not repeat, got 1 twice"):
-            harness.check_scaling_run([1, 1, 2, 4], trials=3, master_seed=0)
+            harness.check_scaling_run(SMALL, [1, 1, 2, 4], trials=3, master_seed=0)
 
     def test_caller_link_reaches_estimator(self, monkeypatch):
         profiles, mixtures = [], []

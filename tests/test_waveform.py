@@ -199,6 +199,37 @@ def test_iq_dump_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(read_iq_f64(path), samples)
 
 
+@pytest.mark.parametrize("shape, step", [((64,), 1), ((3, 5), 1), ((40,), 3)])
+def test_iq_dump_bytes_are_interleaved_float64(tmp_path, rng, shape, step):
+    samples = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., ::step]
+    path = tmp_path / "dump.iq"
+    write_iq_f64(samples, path)
+    flat = samples.ravel()
+    interleaved = np.empty(2 * flat.size, dtype="<f8")
+    interleaved[0::2] = flat.real
+    interleaved[1::2] = flat.imag
+    assert path.read_bytes() == interleaved.tobytes()
+
+
+def test_iq_dump_round_trips_every_bit(tmp_path):
+    inf, nan = np.inf, np.nan
+    parts = [(3, inf), (2, -inf), (-0.0, 1), (1, -0.0), (-0.0, -0.0), (nan, 0), (-inf, nan)]
+    samples = np.array([complex(re, im) for re, im in parts])
+    path = tmp_path / "dump.iq"
+    write_iq_f64(samples, path)
+    back = read_iq_f64(path)
+    assert back.dtype == np.complex128
+    np.testing.assert_array_equal(back.view(np.uint64), samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [8, 20, 24, 33])
+def test_iq_dump_refuses_a_file_that_ends_inside_a_pair(tmp_path, size):
+    path = tmp_path / "dump.iq"
+    path.write_bytes(bytes(size))
+    with pytest.raises(ValueError, match=f"{size} bytes, not whole pairs"):
+        read_iq_f64(path)
+
+
 def _indices(rngs, count, mod_order):
     """qam_indices' slices joined, each checked to stay small."""
     slices = list(qam_indices(rngs, count, mod_order))
